@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     CanodualError,
     DimensionTooLargeError,
     HardCaseError,
+    InvalidModelError,
     NoDualCriticalPointError,
     ShapeMismatchError,
     UnboundedError,
@@ -28,6 +30,7 @@ from .model import (
     ProblemInstance,
     SolveReport,
     parse_problem,
+    validate,
 )
 from .reproduce import reproduce_example
 from .solver import SolverConfig, find_critical_points, solve_global
@@ -69,11 +72,10 @@ def cmd_solve(args) -> int:
     except (OSError, CanodualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.beta is not None:
-        inst = ProblemInstance(A=inst.A, f=inst.f, lse_terms=inst.lse_terms,
-                               quartic_terms=inst.quartic_terms, beta=args.beta)
     cfg = _config(args)
     try:
+        if args.beta is not None:
+            inst = validate(replace(inst, beta=args.beta))
         if args.all_critical:
             report = find_critical_points(inst, cfg)
             found_global = any(p.classification == Classification.GLOBAL_MIN
@@ -144,6 +146,9 @@ def cmd_reproduce(args) -> int:
                                                         num_starts=args.starts))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InvalidModelError as exc:
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     print(comparison.table())
     return 0 if comparison.ok else 2

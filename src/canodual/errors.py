@@ -52,8 +52,8 @@ class DomainError(CanodualError):
     code = "DOMAIN"
 
 
-class PoleError(CanodualError):
-    """Secular expression evaluated at (or too close to) a pole."""
+class PoleError(DomainError):
+    """Spectral dual evaluated at (or too close to) a pole."""
 
     code = "POLE"
 

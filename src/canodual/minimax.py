@@ -8,16 +8,19 @@ x = (A2-A1)^{-1/2} y + (A2-A1)^{-1} (f2-f1) yields the canonical form
 
     1/2 y'Ay - f'y + (1/beta) log(1 + exp(beta (1/2 y'y + d)))  (+ constant),
 
-whose dual is univariate in tau on (0, 1):
+whose dual is the univariate spectral dual of :mod:`canodual.univariate`
+with the entropy conjugate on (0, 1):
 
     -1/2 sum_i f_hat_i^2/(lambda_i + tau) + d tau
     - (1/beta) [tau log tau + (1-tau) log(1-tau)].
 
 The dual is strictly concave on the sub-interval where A + tau I is
-positive definite; the maximizer there recovers the global smoothed
-minimizer. The remaining critical points of the univariate dual are
-enumerated by a scan over (0, 1) minus the spectrum poles and classified
-through the general machinery.
+positive definite; the shared engine's maximizer there recovers the global
+smoothed minimizer. The remaining critical points of the univariate dual
+are enumerated by the engine's scan over (0, 1) minus the spectrum poles
+and classified through the general machinery. This module keeps the
+instance and canonical-form types, the solves, and adapters that take
+(d, beta) in place of a conjugate.
 
 Smoothing error is one-sided: max <= smoothed <= max + log(2)/beta.
 """
@@ -26,17 +29,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import univariate
 from .errors import (
-    DomainError,
-    NoDualCriticalPointError,
     NonPositiveParameterError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
-    UnboundedError,
 )
 from .model import (
     CriticalPair,
@@ -49,9 +50,6 @@ from .model import (
     _symmetrized,
 )
 from .solver import DEFAULT_CONFIG, SolverConfig, make_pair
-
-HEAD_COMPONENT_RTOL = 1e-12
-SCAN_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -146,13 +144,12 @@ def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     mm = validate_minimax(mm)
     delta = mm.A2 - mm.A1
     g = mm.f2 - mm.f1
-    w, V = np.linalg.eigh(delta)
+    w, V, inv_root = univariate.whiten(delta, "branch difference")   # delta^{-1/2}
     if w[-1] / w[0] > 1e10:
         warnings.warn(
             f"branch difference is badly conditioned (kappa = {w[-1] / w[0]:.2e}); "
             "the whitening transform may lose accuracy", RuntimeWarning,
             stacklevel=2)
-    inv_root = V @ np.diag(1.0 / np.sqrt(w)) @ V.T      # delta^{-1/2}, symmetric
     offset = V @ ((V.T @ g) / w)                        # delta^{-1} g
     A = inv_root @ mm.A1 @ inv_root
     f = inv_root @ (mm.f1 - mm.A1 @ offset)
@@ -173,11 +170,7 @@ def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
     if np.max(np.abs(term.Q - np.eye(n))) <= 1e-14:
         return CanonicalForm(A=inst.A, f=inst.f, d=term.d, beta=inst.beta,
                              basis=np.eye(n), offset=np.zeros(n), value_shift=0.0)
-    w, V = np.linalg.eigh(term.Q)
-    if w[0] <= 1e-12 * (1.0 + abs(w[-1])):
-        raise ShapeMismatchError("log-sum-exp weight must be positive definite",
-                                 min_eig=float(w[0]))
-    inv_root = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+    inv_root = univariate.whiten(term.Q, "log-sum-exp weight")[2]
     return CanonicalForm(A=inv_root @ inst.A @ inv_root, f=inv_root @ inst.f,
                          d=term.d, beta=inst.beta, basis=inv_root,
                          offset=np.zeros(n), value_shift=0.0)
@@ -186,191 +179,39 @@ def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
 # ---------------------------------------------------------------------------
 # univariate dual
 
-def _entropy(tau: float) -> float:
-    return tau * np.log(tau) + (1.0 - tau) * np.log(1.0 - tau)
-
-
-def _check_tau(sd: SpectralData, tau: float):
-    # defined on (0, 1) wherever A + tau I is nonsingular; the positive
-    # sub-interval (max(0, -lambda_1), 1) is where the maximization runs
-    if not (0.0 < tau < 1.0):
-        raise DomainError("tau outside the open unit interval", tau=tau)
-    if float(np.min(np.abs(sd.lambdas + tau))) <= 1e-14:
-        raise DomainError("tau at a spectrum pole", tau=tau)
-
-
 def dual_value(sd: SpectralData, d: float, beta: float, tau: float) -> float:
     """Univariate dual on (max(0, -lambda_1), 1)."""
-    _check_tau(sd, tau)
-    return float(-0.5 * np.sum(sd.f_hat ** 2 / (sd.lambdas + tau))
-                 + d * tau - _entropy(tau) / beta)
+    return float(univariate.value(sd, univariate.entropy(d, beta), tau))
 
 
 def dual_derivative(sd: SpectralData, d: float, beta: float, tau: float) -> float:
-    return float(0.5 * np.sum(sd.f_hat ** 2 / (sd.lambdas + tau) ** 2)
-                 + d - np.log(tau / (1.0 - tau)) / beta)
+    return float(univariate.derivative(sd, univariate.entropy(d, beta), tau))
 
 
 def dual_second_derivative(sd: SpectralData, d: float, beta: float, tau: float) -> float:
-    return float(-np.sum(sd.f_hat ** 2 / (sd.lambdas + tau) ** 3)
-                 - (1.0 / tau + 1.0 / (1.0 - tau)) / beta)
+    return float(univariate.second_derivative(sd, univariate.entropy(d, beta), tau))
 
 
 def existence_check(sd: SpectralData, d: float, beta: float) -> ExistenceVerdict:
-    """Existence of a dual critical point in the positive region.
-
-    lambda_1 >= 0: always exists (entropy wall at tau = 0).
-    lambda_1 <= -1: the positive region is empty and the smoothed objective
-    is unbounded below.
-    Otherwise the critical point exists iff the load hits the ground
-    eigenspace or the boundary limit of the dual derivative is positive.
-    """
-    lam1 = float(sd.lambdas[0])
-    if lam1 >= 0.0:
-        return ExistenceVerdict.UNCONDITIONAL
-    if lam1 <= -1.0:
-        return ExistenceVerdict.UNBOUNDED
-    head = sd.f_hat[:sd.k]
-    threshold = HEAD_COMPONENT_RTOL * float(np.linalg.norm(sd.f_hat))
-    if np.max(np.abs(head), initial=0.0) > threshold:
-        return ExistenceVerdict.EXISTS
-    tail = sd.f_hat[sd.k:]
-    gaps = sd.lambdas[sd.k:] - lam1
-    lhs = (0.5 * float(np.sum(tail ** 2 / gaps ** 2))
-           - np.log(-lam1 / (1.0 + lam1)) / beta + d)
-    return ExistenceVerdict.EXISTS if lhs > 0.0 else ExistenceVerdict.NOT_EXISTS
+    """Existence of a dual critical point in the positive region: always
+    for lambda_1 >= 0, never (unbounded) for lambda_1 <= -1 (see
+    :func:`univariate.existence`)."""
+    return univariate.existence(sd, univariate.entropy(d, beta))["verdict"]
 
 
 def existence_detail(sd: SpectralData, d: float, beta: float) -> dict:
-    lam1 = float(sd.lambdas[0])
-    head_inf = float(np.max(np.abs(sd.f_hat[:sd.k]), initial=0.0))
-    lhs = float("nan")
-    if -1.0 < lam1 < 0.0:
-        tail = sd.f_hat[sd.k:]
-        gaps = sd.lambdas[sd.k:] - lam1
-        lhs = (0.5 * float(np.sum(tail ** 2 / gaps ** 2))
-               - np.log(-lam1 / (1.0 + lam1)) / beta + d)
-    return {
-        "verdict": existence_check(sd, d, beta),
-        "lambda_min": lam1,
-        "multiplicity": sd.k,
-        "head_component_inf": head_inf,
-        "head_threshold": HEAD_COMPONENT_RTOL * float(np.linalg.norm(sd.f_hat)),
-        "boundary_lhs": lhs,
-    }
-
-
-def _refine_root(deriv, a: float, b: float, fa: float, fb: float,
-                 tol: float, max_iter: int) -> Optional[float]:
-    """Bisection with Newton-style interpolation for a sign change on [a, b]."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        return None
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = deriv(mid)
-        if abs(fm) <= tol or (b - a) <= 1e-16 * (1.0 + abs(mid)):
-            return mid
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
-def _positive_region_root(sd: SpectralData, d: float, beta: float,
-                          cfg: SolverConfig) -> Optional[float]:
-    """Unique root of the dual derivative on the positive sub-interval
-    (max(0, -lambda_1), 1).
-
-    The derivative is strictly decreasing there, so a sign-change bracket
-    plus bisection is globally convergent. Brackets are expanded
-    geometrically toward both ends, which resolves maximizers hugging
-    either boundary down to float spacing.
-    """
-    deriv = lambda t: dual_derivative(sd, d, beta, t)
-    lower = max(0.0, -float(sd.lambdas[0]))
-    width = 1.0 - lower
-    a = None
-    t = 0.25
-    while t > 1e-14:
-        cand = lower + t * width
-        if deriv(cand) > 0.0:
-            a = cand
-            break
-        t *= 0.25
-    if a is None:
-        return None
-    b = None
-    s = min(0.25 * width, 0.5 * (1.0 - a))
-    while s > 1e-13:
-        cand = 1.0 - s
-        if deriv(cand) < 0.0:
-            b = cand
-            break
-        s *= 0.25
-    if b is None:
-        return None
-    tol = max(cfg.grad_tol, 1e-13)
-    return _refine_root(deriv, a, b, deriv(a), deriv(b), tol, cfg.max_iter)
-
-
-def _enumerate_roots(sd: SpectralData, d: float, beta: float,
-                     cfg: SolverConfig) -> list[float]:
-    """All roots of the dual derivative on (0, 1), excluding pole points and
-    a boundary margin."""
-    poles = sorted({float(-lam) for lam in sd.lambdas if 0.0 < -lam < 1.0})
-    edges = [0.0] + poles + [1.0]
-    tol = max(cfg.grad_tol, 1e-13)
-    roots: list[float] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        if width <= 4.0 * cfg.boundary_margin:
-            continue
-        lo = a + max(cfg.boundary_margin, 1e-9 * width)
-        hi = b - max(cfg.boundary_margin, 1e-9 * width)
-        grid = np.linspace(lo, hi, SCAN_POINTS)
-        vals = (0.5 * np.sum(sd.f_hat[:, None] ** 2 / (sd.lambdas[:, None] + grid) ** 2, axis=0)
-                + d - np.log(grid / (1.0 - grid)) / beta)
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in sign_change:
-            root = _refine_root(lambda t: dual_derivative(sd, d, beta, t),
-                                float(grid[i]), float(grid[i + 1]),
-                                float(vals[i]), float(vals[i + 1]),
-                                tol, cfg.max_iter)
-            if root is not None:
-                roots.append(root)
-        for endpoint, v in ((lo, vals[0]), (hi, vals[-1])):
-            if abs(v) <= tol:
-                roots.append(float(endpoint))
-    dedup: list[float] = []
-    for root in sorted(roots):
-        if not dedup or root - dedup[-1] > 1e-9:
-            dedup.append(root)
-    return dedup
+    return univariate.existence(sd, univariate.entropy(d, beta))
 
 
 def _solve_canonical(can: CanonicalForm, cfg: SolverConfig) -> SolveReport:
     sd = can.spectral()
+    conj = univariate.entropy(can.d, can.beta)
     verdict = existence_check(sd, can.d, can.beta)
-    if verdict == ExistenceVerdict.UNBOUNDED:
-        raise UnboundedError(
-            "smoothed objective unbounded below (lambda_min <= -1)",
-            lambda_min=float(sd.lambdas[0]))
-    if verdict == ExistenceVerdict.NOT_EXISTS:
-        raise NoDualCriticalPointError(
-            "no dual critical point in the positive-definite region "
-            "(relatively hard instance)")
-    lower = max(0.0, -float(sd.lambdas[0]))
-    global_root = _positive_region_root(sd, can.d, can.beta, cfg)
-    if global_root is None:
-        raise NoDualCriticalPointError(
-            "existence predicted a positive-region critical point but "
-            "bracketing found none", lower=lower)
-    roots = _enumerate_roots(sd, can.d, can.beta, cfg)
+    # no Newton steps: near the entropy barrier D' grows like a logarithm,
+    # Newton steps from the left overshoot the bracket, and bisection is cheaper
+    global_root, _ = univariate.maximise(
+        sd, conj, verdict, lambda t: dual_derivative(sd, can.d, can.beta, t), cfg)
+    roots = univariate.critical_points(sd, conj, cfg)
     if not any(abs(t - global_root) <= 1e-9 for t in roots):
         roots = sorted(roots + [global_root])
     problem = can.to_problem()

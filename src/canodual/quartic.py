@@ -2,20 +2,20 @@
 
     1/2 x'Ax - f'x + (alpha/2) (1/2 x'x + c)^2
 
-(one quartic term, identity weight, no log-sum-exp block). After the
-eigendecomposition A = U diag(lambda) U' with f_hat = U'f, the dual is the
-univariate concave function
+(one quartic term, identity weight, no log-sum-exp block). Its dual is the
+univariate spectral dual of :mod:`canodual.univariate` with the quartic
+conjugate V*(sigma) = sigma^2/(2 alpha) - c sigma on [alpha c, inf):
 
-    -1/2 sum_i f_hat_i^2 / (lambda_i + sigma) + c sigma - sigma^2 / (2 alpha)
+    -1/2 sum_i f_hat_i^2 / (lambda_i + sigma) + c sigma - sigma^2 / (2 alpha),
 
-on the interval where all lambda_i + sigma > 0 and sigma >= alpha c. Its
-stationarity condition is the secular equation
+whose stationarity condition is the secular equation
 
-    1/2 sum_i f_hat_i^2 / (lambda_i + sigma)^2 + c - sigma / alpha = 0,
+    1/2 sum_i f_hat_i^2 / (lambda_i + sigma)^2 + c - sigma / alpha = 0.
 
-strictly decreasing on that interval, so the critical point is unique when
-it exists; an existence test on the spectral data separates the easy
-instances from the hard ones up front.
+The shared engine decides existence on the spectral data, separating the
+easy instances from the hard ones up front, and brackets the unique root.
+This module keeps the instance type, the solve, and adapters that take
+(alpha, c) in place of a conjugate.
 
 General positive-definite quartic weights are handled by whitening:
 y = B^{1/2} x turns the weight into the identity without changing objective
@@ -29,11 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    NoDualCriticalPointError,
-    PoleError,
-    ShapeMismatchError,
-)
+from . import univariate
+from .errors import ShapeMismatchError
 from .model import (
     Classification,
     CriticalPair,
@@ -46,9 +43,6 @@ from .model import (
     SpectralData,
 )
 from .solver import DEFAULT_CONFIG, SolverConfig
-
-HEAD_COMPONENT_RTOL = 1e-12
-POLE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -92,12 +86,7 @@ class QuarticInstance:
         term = inst.quartic_terms[0]
         if np.max(np.abs(term.B - np.eye(inst.n))) <= 1e-14:
             return QuarticInstance(A=inst.A, f=inst.f, alpha=term.alpha, c=term.c)
-        w, V = np.linalg.eigh(term.B)
-        if w[0] <= 1e-12 * (1.0 + w[-1]):
-            raise ShapeMismatchError("quartic weight must be positive definite",
-                                     min_eig=float(w[0]))
-        root = V @ np.diag(np.sqrt(w)) @ V.T         # B^{1/2}
-        inv_root = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+        inv_root = univariate.whiten(term.B, "quartic weight")[2]
         return QuarticInstance(A=inv_root @ inst.A @ inv_root,
                                f=inv_root @ inst.f,
                                alpha=term.alpha, c=term.c, basis=inv_root)
@@ -107,118 +96,29 @@ def secular_derivative(sd: SpectralData, alpha: float, c: float,
                        sigma: float) -> float:
     """First derivative of the univariate dual,
     1/2 sum f_hat_i^2/(lambda_i + sigma)^2 + c - sigma/alpha."""
-    shifted = sd.lambdas + sigma
-    if np.min(np.abs(shifted)) <= POLE_TOL:
-        raise PoleError("sigma at a pole of the secular expression",
-                        sigma=sigma)
-    return float(0.5 * np.sum(sd.f_hat ** 2 / shifted ** 2) + c - sigma / alpha)
+    return float(univariate.derivative(sd, univariate.quartic(alpha, c), sigma))
 
 
 def secular_second_derivative(sd: SpectralData, alpha: float, sigma: float) -> float:
-    shifted = sd.lambdas + sigma
-    if np.min(np.abs(shifted)) <= POLE_TOL:
-        raise PoleError("sigma at a pole of the secular expression", sigma=sigma)
-    return float(-np.sum(sd.f_hat ** 2 / shifted ** 3) - 1.0 / alpha)
+    return float(univariate.second_derivative(sd, univariate.quartic(alpha, 0.0), sigma))
 
 
 def dual_value(sd: SpectralData, alpha: float, c: float, sigma: float) -> float:
-    shifted = sd.lambdas + sigma
-    if np.min(np.abs(shifted)) <= POLE_TOL:
-        raise PoleError("sigma at a pole of the dual", sigma=sigma)
-    return float(-0.5 * np.sum(sd.f_hat ** 2 / shifted)
-                 + c * sigma - sigma ** 2 / (2.0 * alpha))
+    return float(univariate.value(sd, univariate.quartic(alpha, c), sigma))
 
 
 def existence_check(sd: SpectralData, alpha: float, c: float) -> ExistenceVerdict:
     """Does the univariate dual have a critical point in the positive region?
-
-    UNCONDITIONAL when alpha c > -lambda_1 (the region is closed on the left
-    and the concave dual always attains its maximum there). Otherwise the
-    critical point exists iff the load has a component on the ground
-    eigenspace or the boundary limit of the secular derivative is positive.
-    """
-    lam1 = float(sd.lambdas[0])
-    if alpha * c > -lam1:
-        return ExistenceVerdict.UNCONDITIONAL
-    head = sd.f_hat[:sd.k]
-    threshold = HEAD_COMPONENT_RTOL * float(np.linalg.norm(sd.f_hat))
-    if np.max(np.abs(head), initial=0.0) > threshold:
-        return ExistenceVerdict.EXISTS
-    tail = sd.f_hat[sd.k:]
-    gaps = sd.lambdas[sd.k:] - lam1
-    lhs = 0.5 * float(np.sum(tail ** 2 / gaps ** 2)) + lam1 / alpha + c
-    return ExistenceVerdict.EXISTS if lhs > 0.0 else ExistenceVerdict.NOT_EXISTS
+    UNCONDITIONAL when alpha c > -lambda_1 (see :func:`univariate.existence`)."""
+    return univariate.existence(sd, univariate.quartic(alpha, c))["verdict"]
 
 
 def existence_detail(sd: SpectralData, alpha: float, c: float) -> dict:
     """Verdict plus the evaluated quantities behind it (for reporting)."""
-    lam1 = float(sd.lambdas[0])
-    head_inf = float(np.max(np.abs(sd.f_hat[:sd.k]), initial=0.0))
-    tail = sd.f_hat[sd.k:]
-    gaps = sd.lambdas[sd.k:] - lam1
-    lhs = 0.5 * float(np.sum(tail ** 2 / gaps ** 2)) + lam1 / alpha + c
-    return {
-        "verdict": existence_check(sd, alpha, c),
-        "lambda_min": lam1,
-        "multiplicity": sd.k,
-        "head_component_inf": head_inf,
-        "head_threshold": HEAD_COMPONENT_RTOL * float(np.linalg.norm(sd.f_hat)),
-        "boundary_lhs": lhs,
-    }
+    return univariate.existence(sd, univariate.quartic(alpha, c))
 
 
-def _bracket_and_solve(deriv, lower: float, scale: float, tol: float,
-                       max_iter: int, growth: float = 2.0,
-                       second=None) -> tuple[float, int]:
-    """Safeguarded Newton for the unique root of a strictly decreasing
-    function on (lower, inf).
-
-    The left end is approached by shrinking offsets until the derivative is
-    positive; the right end is expanded geometrically until it is negative
-    (guaranteed: the function tends to -inf).
-    """
-    a = None
-    t = max(scale, 1.0)
-    for _ in range(80):
-        cand = lower + t
-        if deriv(cand) > 0.0:
-            a = cand
-            break
-        t /= 4.0
-        if t < 1e-13 * max(1.0, abs(lower)):
-            break
-    if a is None:
-        raise NoDualCriticalPointError(
-            "secular derivative not positive anywhere above the lower end")
-    b = a + max(scale, 1.0)
-    expansions = 0
-    while deriv(b) > 0.0:
-        b = lower + growth * (b - lower)
-        expansions += 1
-        if expansions > 200:
-            raise NoDualCriticalPointError("failed to bracket the secular root")
-    sigma = 0.5 * (a + b)
-    for it in range(1, max_iter + 1):
-        fs = deriv(sigma)
-        if abs(fs) <= tol:
-            return sigma, it
-        if fs > 0.0:
-            a = sigma
-        else:
-            b = sigma
-        nxt = None
-        if second is not None:
-            d2 = second(sigma)
-            if np.isfinite(d2) and d2 != 0.0:
-                nxt = sigma - fs / d2
-        if nxt is None or not np.isfinite(nxt) or not (a < nxt < b):
-            nxt = 0.5 * (a + b)          # bisection safeguard
-        sigma = nxt
-    return sigma, max_iter
-
-
-def solve(qi: QuarticInstance, cfg: SolverConfig = DEFAULT_CONFIG,
-          bracket_growth: float = 2.0) -> SolveReport:
+def solve(qi: QuarticInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Maximize the univariate dual over the positive region and recover the
     global minimizer spectrally.
 
@@ -227,25 +127,10 @@ def solve(qi: QuarticInstance, cfg: SolverConfig = DEFAULT_CONFIG,
     """
     sd = qi.spectral()
     verdict = existence_check(sd, qi.alpha, qi.c)
-    if verdict == ExistenceVerdict.NOT_EXISTS:
-        raise NoDualCriticalPointError(
-            "no dual critical point in the positive-definite region "
-            "(relatively hard instance)")
-    lam1 = float(sd.lambdas[0])
-    floor = qi.alpha * qi.c
-    scale = 1.0 + abs(lam1) + abs(floor)
-    tol = max(cfg.grad_tol, 1e-14 * scale)
-    iters = 0
-    if verdict == ExistenceVerdict.UNCONDITIONAL and \
-            secular_derivative(sd, qi.alpha, qi.c, floor) <= 0.0:
-        sigma_bar = floor                 # maximum attained at the closed end
-    else:
-        lower = max(-lam1, floor)
-        sigma_bar, iters = _bracket_and_solve(
-            lambda s: secular_derivative(sd, qi.alpha, qi.c, s),
-            lower, scale=0.1 * scale, tol=tol, max_iter=cfg.max_iter,
-            growth=bracket_growth,
-            second=lambda s: secular_second_derivative(sd, qi.alpha, s))
+    sigma_bar, iters = univariate.maximise(
+        sd, univariate.quartic(qi.alpha, qi.c), verdict,
+        lambda s: secular_derivative(sd, qi.alpha, qi.c, s), cfg,
+        second=lambda s: secular_second_derivative(sd, qi.alpha, s))
     y = sd.U @ (sd.f_hat / (sd.lambdas + sigma_bar))
     x = qi.to_original(y)
     dv = dual_value(sd, qi.alpha, qi.c, sigma_bar)

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import dual as _dual
 from . import primal as _primal
+from . import univariate
 from .errors import DomainError, HardCaseError, NotCriticalError, SingularMatrixError
 from .model import (
     Classification,
@@ -301,20 +302,8 @@ def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> list[np.ndarr
     sign_change = np.nonzero(finite[:-1] & finite[1:]
                              & (vals[:-1] * vals[1:] <= 0.0))[0]
     for i in sign_change:
-        a, b, fa = float(grid[i]), float(grid[i + 1]), float(vals[i])
-        for _ in range(cfg.max_iter):
-            mid = 0.5 * (a + b)
-            fm = deriv_at(mid)
-            if fm is None:
-                break
-            if abs(fm) <= tol or (b - a) <= 1e-15 * (1.0 + abs(mid)):
-                break
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        mid = 0.5 * (a + b)
-        fm = deriv_at(mid)
+        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
+                                       float(vals[i]), tol, cfg.max_iter, rtol=1e-15)
         if fm is not None and abs(fm) <= 10.0 * tol:
             roots.append(np.array([mid]))
     return roots

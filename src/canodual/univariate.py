@@ -1,0 +1,318 @@
+"""Univariate spectral dual shared by the two fast paths.
+
+After whitening the measure weight to the identity and diagonalising
+A = U diag(lambda) U' with f_hat = U'f, the canonical dual of a problem with
+one measure term is the univariate function
+
+    D(s) = -1/2 sum_i f_hat_i^2 / (lambda_i + s) - V*(s),
+
+and the two fast paths differ only in the conjugate V*:
+
+    quartic   V*(sigma) = sigma^2 / (2 alpha) - c sigma          on [alpha c, inf)
+    entropy   V*(tau)   = (tau log tau + (1-tau) log(1-tau)) / beta - d tau
+                                                               on (0, 1)
+
+(the entropy's slope tends to -inf at tau = 0: a barrier). On the positive
+region, where s > -lambda_1 as well, D' is strictly decreasing, so the
+maximiser of D is unique when it exists, and an existence test on the
+spectral data decides up front whether it does.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+
+import numpy as np
+
+from .errors import (
+    DomainError,
+    NoDualCriticalPointError,
+    PoleError,
+    ShapeMismatchError,
+    UnboundedError,
+)
+from .model import ExistenceVerdict, SpectralData
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
+
+HEAD_COMPONENT_RTOL = 1e-12
+POLE_TOL = 1e-14
+REACH = 1e-13          # bracketing gives up this close (relatively) to an end,
+REACH_FINITE_LEFT = 1e-14  # or to the left end of a finite interval (of its width)
+SCAN_POINTS = 2048
+
+
+class Conjugate(NamedTuple):
+    """Conjugate V* of the measure term on its domain [lo, hi).
+
+    ``barrier`` marks a conjugate that is undefined outside the open domain
+    (lo, hi) and whose slope tends to -inf at lo; otherwise V* extends to
+    the whole line and lo is a closed end of the maximisation. (A named
+    tuple: the fast paths' public functions build one per call.)
+    """
+
+    lo: float
+    hi: float
+    barrier: bool
+    value: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
+    curvature: Callable[[np.ndarray], np.ndarray]
+
+
+def quartic(alpha: float, c: float) -> Conjugate:
+    return Conjugate(lo=alpha * c, hi=np.inf, barrier=False,
+                     value=lambda s: s ** 2 / (2.0 * alpha) - c * s,
+                     slope=lambda s: s / alpha - c,
+                     curvature=lambda s: 1.0 / alpha)
+
+
+def entropy(d: float, beta: float) -> Conjugate:
+    return Conjugate(lo=0.0, hi=1.0, barrier=True,
+                     value=lambda t: (t * np.log(t) + (1.0 - t) * np.log(1.0 - t)) / beta - d * t,
+                     slope=lambda t: np.log(t / (1.0 - t)) / beta - d,
+                     curvature=lambda t: (1.0 / t + 1.0 / (1.0 - t)) / beta)
+
+
+# ---------------------------------------------------------------------------
+# the dual and its derivatives, vectorised over s
+
+def _shifted(sd: SpectralData, conj: Conjugate, s):
+    """(s, lambda_i + s): a scalar s as a float with an n-vector (floats keep
+    the bracketer's one-point calls cheap), an array of points with an
+    (n, points) array. Raises outside a barrier conjugate's open domain and
+    at a pole."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        s = float(s)
+        first = last = s
+        shifted = sd.lambdas + s
+        gap = np.abs(shifted).min()
+    else:
+        first, last = s.min(), s.max()
+        shifted = np.add.outer(sd.lambdas, s)
+        k = np.searchsorted(sd.lambdas, -s)      # sorted: the nearest bracket -s
+        gap = np.minimum(np.abs(sd.lambdas[np.maximum(k - 1, 0)] + s),
+                         np.abs(sd.lambdas[np.minimum(k, sd.lambdas.size - 1)] + s)).min()
+    if conj.barrier and not (conj.lo < first and last < conj.hi):
+        raise DomainError("outside the open domain of the conjugate", s=s)
+    if gap <= POLE_TOL:
+        raise PoleError("at a pole of the spectral dual", s=s)
+    return s, shifted
+
+
+def value(sd: SpectralData, conj: Conjugate, s):
+    s, shifted = _shifted(sd, conj, s)
+    return -0.5 * (sd.f_hat ** 2 @ (1.0 / shifted)) - conj.value(s)
+
+
+def derivative(sd: SpectralData, conj: Conjugate, s):
+    s, shifted = _shifted(sd, conj, s)
+    return 0.5 * (sd.f_hat ** 2 @ (1.0 / shifted ** 2)) - conj.slope(s)
+
+
+def second_derivative(sd: SpectralData, conj: Conjugate, s):
+    s, shifted = _shifted(sd, conj, s)
+    return -(sd.f_hat ** 2 @ (1.0 / shifted ** 3)) - conj.curvature(s)
+
+
+# ---------------------------------------------------------------------------
+# existence
+
+def existence(sd: SpectralData, conj: Conjugate) -> dict:
+    """Does D have a critical point in the positive region? The verdict plus
+    the evaluated quantities behind it.
+
+    UNCONDITIONAL when the domain's left end lies inside the positive region
+    (or on its edge, behind a barrier); UNBOUNDED when the positive region is
+    empty. Otherwise the critical point exists iff the load has a component
+    on the ground eigenspace or the boundary limit of D' at -lambda_1,
+    1/2 sum tail^2/gap^2 - V*'(-lambda_1), is positive. ``boundary_lhs`` is
+    reported wherever V*' is defined at -lambda_1 (a barrier conjugate's
+    only inside its open domain) and is NaN elsewhere.
+    """
+    lam1 = float(sd.lambdas[0])
+    head_inf = float(np.max(np.abs(sd.f_hat[:sd.k]), initial=0.0))
+    threshold = HEAD_COMPONENT_RTOL * float(np.linalg.norm(sd.f_hat))
+    lhs = float("nan")
+    if not conj.barrier or conj.lo < -lam1 < conj.hi:
+        tail = sd.f_hat[sd.k:]
+        gaps = sd.lambdas[sd.k:] - lam1
+        lhs = 0.5 * float(np.sum(tail ** 2 / gaps ** 2)) - float(conj.slope(-lam1))
+    if conj.lo > -lam1 or (conj.lo == -lam1 and conj.barrier):
+        verdict = ExistenceVerdict.UNCONDITIONAL
+    elif -lam1 >= conj.hi:
+        verdict = ExistenceVerdict.UNBOUNDED
+    else:
+        verdict = (ExistenceVerdict.EXISTS if head_inf > threshold or lhs > 0.0
+                   else ExistenceVerdict.NOT_EXISTS)
+    return {
+        "verdict": verdict,
+        "lambda_min": lam1,
+        "multiplicity": sd.k,
+        "head_component_inf": head_inf,
+        "head_threshold": threshold,
+        "boundary_lhs": lhs,
+    }
+
+
+# ---------------------------------------------------------------------------
+# root finding
+
+def refine(fn, a: float, b: float, fa: float, tol: float, max_iter: int,
+           rtol: float = 1e-16, fprime=None):
+    """Safeguarded Newton/bisection on a bracket [a, b] where fn changes
+    sign (fa = fn(a)).
+
+    Stops when |fn| <= tol, when the bracket is narrower than
+    rtol (1 + |x|), or when fn returns None (an undefined point). Newton
+    steps that leave the bracket fall back to bisection. Returns
+    (x, fn(x), iterations).
+    """
+    x = 0.5 * (a + b)
+    for it in range(1, max_iter + 1):
+        fx = fn(x)
+        if fx is None or abs(fx) <= tol or (b - a) <= rtol * (1.0 + abs(x)):
+            return x, fx, it
+        if fa * fx <= 0.0:
+            b = x
+        else:
+            a, fa = x, fx
+        nxt = None
+        if fprime is not None:
+            d = fprime(x)
+            if np.isfinite(d) and d != 0.0:
+                nxt = x - fx / d
+        if nxt is None or not np.isfinite(nxt) or not (a < nxt < b):
+            nxt = 0.5 * (a + b)
+        x = nxt
+    return x, fn(x), max_iter
+
+
+def _approach(fn, end: float, step: float, direction: float, floor: float):
+    """First x = end + direction t, for t = step, step/4, ... down to
+    floor, with direction fn(x) > 0, as (x, fn(x)); None when there is
+    none."""
+    t = step
+    while t > floor:
+        x = end + direction * t
+        fx = fn(x)
+        if direction * fx > 0.0:
+            return x, fx
+        t /= 4.0
+    return None
+
+
+def decreasing_root(fn, lo: float, hi: float, step: float, tol: float,
+                    max_iter: int, fprime=None) -> Optional[tuple[float, int]]:
+    """Root of fn, strictly decreasing on (lo, hi); hi may be inf.
+
+    Both ends are approached by shrinking offsets (:func:`_approach`), so
+    roots hugging an end more closely than the last offset are not
+    resolved: REACH max(1, |end|), except that the left end of a finite
+    interval is followed down to REACH_FINITE_LEFT (hi - lo). An infinite
+    right end is approached by doubling the distance from lo. Returns
+    (root, iterations), or None when no bracket is found.
+    """
+    finite = bool(np.isfinite(hi))
+    left = _approach(fn, lo, step, 1.0, REACH_FINITE_LEFT * (hi - lo) if finite
+                     else REACH * max(1.0, abs(lo)))
+    if left is None:
+        return None
+    a, fa = left
+    b = None
+    if finite:
+        right = _approach(fn, hi, min(step, 0.5 * (hi - a)), -1.0, REACH * max(1.0, abs(hi)))
+        b = None if right is None else right[0]
+    else:
+        t = a + step
+        for _ in range(200):
+            if fn(t) <= 0.0:
+                b = t
+                break
+            t = lo + 2.0 * (t - lo)
+    if b is None:
+        return None
+    root, _, iters = refine(fn, a, b, fa, tol, max_iter, fprime=fprime)
+    return root, iters
+
+
+def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
+             deriv, cfg: SolverConfig, second=None) -> tuple[float, int]:
+    """Maximiser of D over the positive region and the iterations spent.
+
+    ``verdict`` is the :func:`existence` verdict and ``deriv`` evaluates D'
+    (the fast paths pass their public functions, so their evaluations stay
+    countable under their own names); with ``second`` (D'') the root is
+    refined by Newton steps, otherwise by bisection. Raises
+    :class:`UnboundedError` when the positive region is empty and
+    :class:`NoDualCriticalPointError` when it holds no critical point (a
+    relatively hard instance).
+    """
+    lam1 = float(sd.lambdas[0])
+    if verdict == ExistenceVerdict.UNBOUNDED:
+        raise UnboundedError("objective unbounded below: the positive region "
+                             "is empty", lambda_min=lam1)
+    if verdict == ExistenceVerdict.NOT_EXISTS:
+        raise NoDualCriticalPointError(
+            "no dual critical point in the positive-definite region "
+            "(relatively hard instance)")
+    lo = max(-lam1, conj.lo)
+    scale = 1.0 + abs(lam1) + abs(conj.lo)
+    if conj.lo > -lam1 and not conj.barrier and deriv(lo) <= 0.0:
+        return lo, 0                      # maximum attained at the closed end
+    # a bounded domain is stepped by its width, with an absolute stopping
+    # floor; an unbounded one scales both by the data
+    if np.isfinite(conj.hi):
+        step, floor = 0.25 * (conj.hi - lo), 1e-13
+    else:
+        step, floor = max(0.1 * scale, 1.0), 1e-14 * scale
+    found = decreasing_root(deriv, lo, conj.hi, step, tol=max(cfg.grad_tol, floor),
+                            max_iter=cfg.max_iter, fprime=second)
+    if found is None:
+        raise NoDualCriticalPointError(
+            "existence predicted a positive-region critical point but "
+            "bracketing found none", lower=lo)
+    return found
+
+
+def critical_points(sd: SpectralData, conj: Conjugate,
+                    cfg: SolverConfig) -> list[float]:
+    """All roots of D' on a bounded domain minus the poles, found by a
+    sign-change scan of each pole-free interval (a boundary margin kept)."""
+    poles = sorted({float(-lam) for lam in sd.lambdas if conj.lo < -lam < conj.hi})
+    edges = [conj.lo] + poles + [conj.hi]
+    tol = max(cfg.grad_tol, 1e-13)
+    deriv = lambda s: derivative(sd, conj, s)
+    roots: list[float] = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        width = b - a
+        if width <= 4.0 * cfg.boundary_margin:
+            continue
+        lo = a + max(cfg.boundary_margin, 1e-9 * width)
+        hi = b - max(cfg.boundary_margin, 1e-9 * width)
+        grid = np.linspace(lo, hi, SCAN_POINTS)
+        vals = deriv(grid)
+        for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
+            roots.append(refine(deriv, float(grid[i]), float(grid[i + 1]), float(vals[i]),
+                                tol, cfg.max_iter)[0])
+        for endpoint, v in ((lo, vals[0]), (hi, vals[-1])):
+            if abs(v) <= tol:
+                roots.append(float(endpoint))
+    dedup: list[float] = []
+    for root in sorted(roots):
+        if not dedup or root - dedup[-1] > 1e-9:
+            dedup.append(root)
+    return dedup
+
+
+# ---------------------------------------------------------------------------
+# whitening
+
+def whiten(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of a positive definite weight M and M^{-1/2};
+    raises :class:`ShapeMismatchError` when M is not positive definite."""
+    w, V = np.linalg.eigh(M)
+    if w[0] <= 1e-12 * (1.0 + abs(w[-1])):
+        raise ShapeMismatchError(f"{what} must be positive definite", min_eig=float(w[0]))
+    return w, V, (V * (1.0 / np.sqrt(w))) @ V.T

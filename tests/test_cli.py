@@ -103,6 +103,19 @@ class TestCheckExistence:
         assert out.splitlines()[0] == "EXISTS"
         assert "lambda_min" in out and "left-hand side" in out
 
+    def test_quartic_unconditional_reports_the_boundary_lhs(self, tmp_path, capsys):
+        inst = validate(ProblemInstance(
+            A=np.diag([1.0, 2.0]), f=[1.0, 1.0],
+            quartic_terms=(QuarticTerm(B=np.eye(2), c=1.0, alpha=1.0),)))
+        path = tmp_path / "unconditional.json"
+        path.write_text(serialize_problem(inst))
+        code = main(["check-existence", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "UNCONDITIONAL"
+        # 1/2 tail^2/gap^2 + lambda_1/alpha + c = 1/2 + 1 + 1
+        assert lines[3].startswith("boundary inequality left-hand side: 2.5 ")
+
     def test_smoothed_unbounded(self, tmp_path, capsys):
         inst = validate(ProblemInstance(
             A=np.diag([-2.0, 1.0]), f=[0.3, 0.1],
@@ -151,3 +164,11 @@ class TestOracleCompare:
         code = main(["oracle-compare", str(path)])
         assert code == 1
         assert "DIMENSION_TOO_LARGE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["solve", "reproduce"])
+def test_invalid_beta_override_is_input_error(command, beta, ex1_path, capsys):
+    target = ex1_path if command == "solve" else "3"
+    assert main([command, target, "--beta", beta]) == 1
+    assert "error [NON_POSITIVE_PARAMETER]" in capsys.readouterr().err

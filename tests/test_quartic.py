@@ -105,16 +105,6 @@ class TestSolve:
             assert rep.best.primal_value == pytest.approx(v_star, abs=1e-4)
             done += 1
 
-    def test_root_independent_of_bracket_growth(self, rng):
-        for _ in range(100):
-            inst = rand_quartic_easy(rng, 2)
-            qi = QuarticInstance.from_problem(inst)
-            if existence_check(qi.spectral(), qi.alpha, qi.c) == ExistenceVerdict.NOT_EXISTS:
-                continue
-            s1 = float(solve(qi, bracket_growth=2.0).best.zeta.sigma[0])
-            s2 = float(solve(qi, bracket_growth=3.7).best.zeta.sigma[0])
-            assert s1 == pytest.approx(s2, abs=1e-8 * (1 + abs(s1)))
-
     def test_spectral_reconstruction_matches_direct_solve(self, rng):
         for _ in range(20):
             inst = rand_quartic_easy(rng, 2)
