@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "against its reference solution")
     p_repro.add_argument("example", type=int, choices=(1, 2, 3))
     p_repro.add_argument("--beta", type=float, default=None,
-                         help="override the smoothing weight (benchmark 3)")
+                         help="override the smoothing weight (benchmark 3 only)")
     add_common(p_repro)
 
     p_orc = sub.add_parser("oracle-compare",

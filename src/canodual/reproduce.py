@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from . import fixtures, minimax, quartic
+from .errors import InvalidModelError
 from .model import Classification, SolveReport
 from .solver import SolverConfig, find_critical_points
 
@@ -146,6 +147,10 @@ def _reproduce_example3(cfg: SolverConfig, beta: Optional[float]) -> Comparison:
 def reproduce_example(example_id: int, beta: Optional[float] = None,
                       cfg: Optional[SolverConfig] = None) -> Comparison:
     cfg = cfg or SolverConfig()
+    if beta is not None and example_id in (1, 2):
+        raise InvalidModelError(
+            f"benchmark {example_id} takes no beta override: its reference values "
+            "hold for its own data only (the override applies to benchmark 3)")
     if example_id == 1:
         return _reproduce_example1(cfg)
     if example_id == 2:

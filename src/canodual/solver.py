@@ -8,8 +8,9 @@ iterates drifting to the region boundary with a non-vanishing gradient are
 reported as the hard case.
 
 ``find_critical_points`` runs seeded multistart Newton on the dual gradient
-(line search on the squared gradient norm), deduplicates the roots, and
-classifies every resulting primal/dual pair.
+(line search on the squared gradient norm), with all starts in lockstep on
+one array of dual vectors, deduplicates the roots, and classifies every
+resulting primal/dual pair.
 
 Classification semantics at a dual critical point zeta with recovered x:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,14 +62,6 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
-
-
-def _warn_wide_measure(inst: ProblemInstance):
-    if inst.m > 2:
-        warnings.warn(
-            f"m = {inst.m} > 2 measure components: convexity of the measure "
-            "range is assumed, not verified; dual certificates may be vacuous",
-            RuntimeWarning, stacklevel=3)
 
 
 class _Eval:
@@ -119,23 +112,24 @@ def _try_eval(inst, zeta) -> Optional[_Eval]:
         return None
 
 
-def _tau_step_cap(tau: np.ndarray, dtau: np.ndarray, floor: float,
-                  ftb: float = 0.995) -> float:
-    """Largest step keeping each tau_i and the simplex slack above both a
-    (1 - ftb) fraction of their current values and the absolute floor.
+def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float,
+                   ftb: float = 0.995) -> np.ndarray:
+    """Per row of ``tau`` (k, p) and step ``dtau``, the largest step keeping
+    each tau_i and the simplex slack above both a (1 - ftb) fraction of their
+    current values and the absolute floor.
 
     The floor makes the margin-interior simplex the working domain: roots
     hugging the boundary closer than the margin are outside the search by
     design (their iterates stall at the floor and are discarded).
     """
-    if tau.size == 0:
-        return np.inf
-    cap = np.inf
-    for value, slope in list(zip(tau, dtau)) + [(1.0 - float(tau.sum()), -float(dtau.sum()))]:
-        if slope < 0.0:
-            allowed = value - max(floor, (1.0 - ftb) * value)
-            cap = min(cap, max(allowed, 0.0) / (-slope))
-    return cap
+    if tau.shape[1] == 0:
+        return np.full(len(tau), np.inf)
+    value = np.column_stack([tau, 1.0 - tau.sum(axis=1)])
+    slope = np.column_stack([dtau, -dtau.sum(axis=1)])
+    allowed = np.maximum(value - np.maximum(floor, (1.0 - ftb) * value), 0.0)
+    cap = np.divide(allowed, -slope, out=np.full(value.shape, np.inf),
+                    where=slope < 0.0)
+    return cap.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +174,15 @@ def _sigma_box(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_starts(inst: ProblemInstance, cfg: SolverConfig,
-                   rng: np.random.Generator) -> list[DualPoint]:
+                   rng: np.random.Generator) -> np.ndarray:
+    """``cfg.num_starts`` dual starts as rows (tau, sigma) of a (k, m) array."""
     lo, hi = _sigma_box(inst) if inst.r else (np.zeros(0), np.zeros(0))
     u_tau = _stratified_uniforms(rng, cfg.num_starts, inst.p + 1 if inst.p else 0)
     u_sigma = _stratified_uniforms(rng, cfg.num_starts, inst.r)
-    starts = []
-    for k in range(cfg.num_starts):
-        tau = (_tau_from_uniforms(u_tau[k], cfg.boundary_margin)
-               if inst.p else np.zeros(0))
-        sigma = lo + u_sigma[k] * (hi - lo) if inst.r else np.zeros(0)
-        starts.append(DualPoint(tau=tau, sigma=sigma))
-    return starts
+    tau = (np.array([_tau_from_uniforms(u, cfg.boundary_margin) for u in u_tau])
+           if inst.p else np.zeros((cfg.num_starts, 0)))
+    sigma = lo + u_sigma * (hi - lo)
+    return np.hstack([tau, sigma])
 
 
 def _primal_seeded_roots(inst: ProblemInstance, cfg: SolverConfig,
@@ -201,14 +193,14 @@ def _primal_seeded_roots(inst: ProblemInstance, cfg: SolverConfig,
     through the constitutive map wherever G is nonsingular, and the primal
     basins (especially of local minima, which pair with dual saddles) are
     far larger than the thin dual merit basins near singular points. A
-    short Newton root find on the primal gradient followed by a dual polish
-    recovers those roots cheaply.
+    short Newton root find on the primal gradient followed by one lockstep
+    dual polish of all harvested starts recovers those roots cheaply.
     """
     duality_map = _primal.duality_map
     grad_primal = _primal.grad_primal
     hess_primal = _primal.hess_primal
     spread = 2.5 * (1.0 + float(np.max(np.abs(inst.f), initial=0.0)))
-    roots: list[np.ndarray] = []
+    starts: list[np.ndarray] = []
     fscale = 1.0 + float(np.max(np.abs(inst.f), initial=0.0))
     for _ in range(max(2, cfg.num_starts // 8)):
         x = rng.standard_normal(inst.n) * spread
@@ -243,12 +235,10 @@ def _primal_seeded_roots(inst: ProblemInstance, cfg: SolverConfig,
         if not converged:
             continue
         zeta0 = duality_map(inst, x)
-        if not zeta0.tau_interior(cfg.boundary_margin):
-            continue
-        zeta, _, ok = _newton_root(inst, zeta0, cfg)
-        if ok:
-            roots.append(zeta.vector())
-    return roots
+        if zeta0.tau_interior(cfg.boundary_margin):
+            starts.append(zeta0.vector())
+    Z, _, ok = _newton_roots(inst, np.reshape(starts, (-1, inst.m)), cfg)
+    return list(Z[ok])
 
 
 def _univariate_scan_values(inst: ProblemInstance, grid: np.ndarray) -> np.ndarray:
@@ -327,8 +317,8 @@ def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
             ev = _try_eval(inst, DualPoint(tau=tau0, sigma=np.full(inst.r, s)))
             if ev is not None and ev.region == Region.SA_PLUS:
                 return ev
-    for zeta in _sample_starts(inst, cfg, rng):
-        ev = _try_eval(inst, zeta)
+    for z in _sample_starts(inst, cfg, rng):
+        ev = _try_eval(inst, DualPoint.from_vector(z, inst.p))
         if ev is not None and ev.region == Region.SA_PLUS:
             return ev
     return None
@@ -354,7 +344,8 @@ def _newton_ascent(inst: ProblemInstance, ev: _Eval, cfg: SolverConfig):
         if not np.all(np.isfinite(step)) or float(g @ step) <= 0.0:
             step = g.copy()
         z = ev.zeta.vector()
-        t = min(1.0, _tau_step_cap(ev.zeta.tau, step[:inst.p], cfg.boundary_margin))
+        t = min(1.0, _tau_step_caps(ev.zeta.tau[None], step[None, :inst.p],
+                                   cfg.boundary_margin)[0])
         slope = float(g @ step)
         accepted = None
         while t > 1e-16:
@@ -370,54 +361,194 @@ def _newton_ascent(inst: ProblemInstance, ev: _Eval, cfg: SolverConfig):
     return ev, cfg.max_iter, float(np.max(np.abs(ev.grad()))) <= cfg.grad_tol
 
 
-def _newton_root(inst: ProblemInstance, zeta0: DualPoint, cfg: SolverConfig):
-    """Newton iteration on grad = 0 with line search on 1/2 ||grad||^2.
+class _Points(NamedTuple):
+    """Dual gradients at a stack of k points and the factorisation of G
+    behind them. Rows outside the open simplex or with G singular have
+    ``valid`` False and NaN everywhere else."""
 
-    Returns (zeta, iterations, converged); merit-stationary non-roots are
-    reported unconverged so the caller can discard them.
+    valid: np.ndarray  # (k,)
+    grad: np.ndarray   # (k, m)
+    U: np.ndarray      # (k, n, n): eigenvectors of G
+    w: np.ndarray      # (k, n): eigenvalues of G
+    Mx: np.ndarray     # (k, m, n): rows Q_1 x, ..., B_r x at x = G^{-1} f
+
+
+def _curvatures(inst: ProblemInstance, Z: np.ndarray) -> np.ndarray:
+    """G(zeta) for every row of Z, as a (k, n, n) stack.
+
+    The blocks are summed as ``inst.curvature`` sums them, and each block
+    product is a stacked matmul: that rounds exactly like the tensordot of a
+    single point, where a 2-D dot over all rows does not.
     """
-    ev = _try_eval(inst, zeta0)
-    if ev is None:
-        return zeta0, 0, False
-    for it in range(1, cfg.max_iter + 1):
-        g = ev.grad()
-        ginf = float(np.max(np.abs(g), initial=0.0))
-        if not np.isfinite(ginf):
-            return ev.zeta, it, False
-        if ginf <= cfg.grad_tol:
-            return ev.zeta, it, True
-        merit = 0.5 * float(g @ g)
-        J = ev.hess()
-        step = None
-        try:
-            cand = np.linalg.solve(J, -g)
-            if np.all(np.isfinite(cand)):
-                step = cand
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            step = -J @ g  # steepest descent on the merit function
-            sn = float(np.max(np.abs(step), initial=0.0))
-            if sn == 0.0:
-                return ev.zeta, it, False
-            step /= sn
-        z = ev.zeta.vector()
-        t = min(1.0, _tau_step_cap(ev.zeta.tau, step[:inst.p], cfg.boundary_margin))
-        accepted = None
-        while t > 1e-16:
-            trial = _try_eval(inst, DualPoint.from_vector(z + t * step, inst.p))
-            if trial is not None:
-                gt = trial.grad()
-                if np.all(np.isfinite(gt)):
-                    merit_t = 0.5 * float(gt @ gt)
-                    if merit_t <= merit * (1.0 - 2e-4 * t):
-                        accepted = trial
-                        break
-            t *= 0.5
-        if accepted is None:
-            return ev.zeta, it, ginf <= cfg.grad_tol
-        ev = accepted
-    return ev.zeta, cfg.max_iter, ev.grad_inf() <= cfg.grad_tol
+    k, n, p = len(Z), inst.n, inst.p
+    G = inst.A
+    if p:
+        G = G + (Z[:, None, :p] @ inst.Q_stack.reshape(p, n * n)).reshape(k, n, n)
+    if inst.r:
+        G = G + (Z[:, None, p:] @ inst.B_stack.reshape(inst.r, n * n)).reshape(k, n, n)
+    return G
+
+
+def _evaluate(inst: ProblemInstance, Z: np.ndarray) -> _Points:
+    """Dual gradient at every row of Z with one stacked ``eigh``.
+
+    Every row is computed with the same operations, in the same order, as
+    ``dual.assemble`` and ``dual.grad_dual`` apply to one point, so the
+    results agree with them bit for bit.
+    """
+    k, m, n, p = len(Z), inst.m, inst.n, inst.p
+    pts = _Points(np.zeros(k, dtype=bool), np.full((k, m), np.nan),
+                  np.full((k, n, n), np.nan), np.full((k, n), np.nan),
+                  np.full((k, m, n), np.nan))
+    rows = np.arange(k)
+    if p:
+        tau = Z[:, :p]
+        rows = rows[(tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)]
+    if rows.size == 0:
+        return pts
+    G = _curvatures(inst, Z[rows])
+    w, U = np.linalg.eigh(G)
+    tol = _dual.SING_TOL * (1.0 + np.abs(G).max(axis=(1, 2)))
+    nonsingular = ~(np.abs(w).min(axis=1) <= tol)  # NaN passes, as in dual.assemble
+    rows, w, U = rows[nonsingular], w[nonsingular], U[nonsingular]
+    x = (U @ ((U.transpose(0, 2, 1) @ inst.f) / w)[..., None])[..., 0]
+    z = Z[rows]
+    blocks, grads = [], []
+    if p:
+        Qx = (inst.Q_stack @ x[:, None, :, None])[..., 0]
+        xi = ((0.5 * Qx) @ x[..., None])[..., 0]
+        slack = 1.0 - z[:, :p].sum(axis=1)
+        blocks.append(Qx)
+        grads.append(xi + inst.d - np.log(z[:, :p] / slack[:, None]) / inst.beta)
+    if inst.r:
+        Bx = (inst.B_stack @ x[:, None, :, None])[..., 0]
+        eta = ((0.5 * Bx) @ x[..., None])[..., 0]
+        blocks.append(Bx)
+        grads.append(eta + inst.c - z[:, p:] / inst.alpha)
+    for mine, value in zip(pts, (True, np.hstack(grads), U, w,
+                                 np.concatenate(blocks, axis=1))):
+        mine[rows] = value
+    return pts
+
+
+def _hessians(inst: ProblemInstance, tau: np.ndarray, pts: _Points) -> np.ndarray:
+    """Dual Hessians -F' G^{-1} F - D^{-1} at the valid points ``pts`` with
+    simplex weights ``tau`` (k, p), computed as ``dual.hess_dual`` does."""
+    k, m, p = len(tau), inst.m, inst.p
+    F = pts.Mx.transpose(0, 2, 1)
+    if p and inst.r:
+        F = np.ascontiguousarray(F)  # the layout dual.measure_jacobian builds
+    GinvF = pts.U @ ((pts.U.transpose(0, 2, 1) @ F) / pts.w[:, :, None])
+    Dinv = np.zeros((k, m, m))
+    if p:
+        diag = np.zeros((k, p, p))
+        diag[:, np.arange(p), np.arange(p)] = 1.0 / tau
+        slack = 1.0 - tau.sum(axis=1)
+        Dinv[:, :p, :p] = (diag + (1.0 / slack)[:, None, None]) / inst.beta
+    if inst.r:
+        Dinv[:, p:, p:] = np.diag(1.0 / inst.alpha)
+    H = -F.transpose(0, 2, 1) @ GinvF - Dinv
+    return 0.5 * (H + H.transpose(0, 2, 1))
+
+
+def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _Points):
+    """Newton steps -J^{-1} g at the valid points ``pts``, with steepest
+    descent -J g on the merit function, scaled to unit max-norm, where the
+    Newton step is not finite. Returns (steps, flat): ``flat`` marks the
+    points where that descent direction is zero."""
+    J = _hessians(inst, tau, pts)
+    g = pts.grad
+    try:
+        steps = np.linalg.solve(J, -g[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular J fails the whole stack
+        steps = np.full_like(g, np.nan)
+        for i in range(len(g)):
+            try:
+                steps[i] = np.linalg.solve(J[i:i + 1], -g[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+    flat = np.zeros(len(g), dtype=bool)
+    descent = ~np.all(np.isfinite(steps), axis=1)
+    if descent.any():
+        sd = (-J[descent] @ g[descent][..., None])[..., 0]
+        size = np.abs(sd).max(axis=1)
+        flat[descent] = size == 0.0
+        steps[descent] = sd / np.where(size == 0.0, 1.0, size)[:, None]
+    return steps, flat
+
+
+def _half_sq_norms(g: np.ndarray) -> np.ndarray:
+    """1/2 g'g per row, rounded as the 1-D ``g @ g`` of one point is."""
+    return 0.5 * (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+
+
+# After a start rejects its first trial step, it tries this many further
+# halvings of the step per round.
+_HALVINGS_PER_ROUND = 8
+
+
+def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
+    """Newton iteration on grad = 0 with line search on 1/2 ||grad||^2, run
+    in lockstep from every row of Z0 (k, m).
+
+    Returns (Z, iterations, converged), one row or entry per start;
+    merit-stationary non-roots are reported unconverged so the caller can
+    discard them. Each round evaluates the pending trial points of all
+    starts with one stacked factorisation, and no start reads another's
+    data, so every row ends exactly as it would alone.
+    """
+    Z = np.array(Z0, dtype=float)
+    k, p = len(Z), inst.p
+    iters = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    pts = _evaluate(inst, Z)
+    running = pts.valid.copy()
+    fresh = running.copy()          # at a new point, due for a Newton step
+    step = np.zeros_like(Z)
+    t0 = np.zeros(k)                # first trial step length
+    tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
+    merit = np.zeros(k)
+    while running.any():
+        S = np.flatnonzero(fresh)
+        fresh[:] = False
+        iters[S] += 1
+        ginf = np.abs(pts.grad[S]).max(axis=1)
+        capped = iters[S] > cfg.max_iter
+        iters[S[capped]] = cfg.max_iter
+        converged[S] = ginf <= cfg.grad_tol
+        running[S[capped | ~np.isfinite(ginf) | converged[S]]] = False
+        S = S[running[S]]
+        if S.size:
+            dz, flat = _directions(inst, Z[S, :p], _Points(*(a[S] for a in pts)))
+            running[S[flat]] = False
+            step[S] = dz
+            t0[S] = np.minimum(1.0, _tau_step_caps(Z[S, :p], dz[:, :p], cfg.boundary_margin))
+            tried[S] = 0
+            merit[S] = _half_sq_norms(pts.grad[S])
+        # the pending trials: t0 alone first, then a batch of halvings
+        L = np.flatnonzero(running)
+        batch = np.where(tried[L] == 0, 1, _HALVINGS_PER_ROUND)
+        owner = np.repeat(L, batch)
+        lead = np.cumsum(batch) - batch  # each start's first trial
+        t = t0[owner] * 0.5 ** (tried[owner] + np.arange(owner.size) - np.repeat(lead, batch))
+        live = t > 1e-16
+        running[L[~live[lead]]] = False  # backtracking exhausted
+        owner, t = owner[live], t[live]
+        tried[L] += batch
+        Zt = Z[owner] + t[:, None] * step[owner]
+        trial = _evaluate(inst, Zt)
+        ok = trial.valid & np.all(np.isfinite(trial.grad), axis=1)
+        ok[ok] = _half_sq_norms(trial.grad[ok]) <= merit[owner[ok]] * (1.0 - 2e-4 * t[ok])
+        first = np.flatnonzero(ok)
+        lowest = np.ones(first.size, dtype=bool)  # the first acceptable t of its start
+        lowest[1:] = owner[first[1:]] != owner[first[:-1]]
+        first = first[lowest]
+        accepted = owner[first]
+        Z[accepted] = Zt[first]
+        for mine, theirs in zip(pts, trial):
+            mine[accepted] = theirs[first]
+        fresh[accepted] = True
+    return Z, iters, converged
 
 
 def _dedup(points: Iterable[np.ndarray], rel: float = 1e-6) -> list[np.ndarray]:
@@ -537,9 +668,10 @@ def solve_global(inst: ProblemInstance,
     Raises :class:`HardCaseError` when no interior starting point can be
     found or the ascent stalls on the region boundary without reaching a
     critical point (the known remedy is a perturbation of the load, which
-    this solver does not attempt).
+    this solver does not attempt). The certificate is weak duality,
+    Pi(x) >= Pi^d(zeta) on the positive-definite region, which holds for
+    any number of measure components.
     """
-    _warn_wide_measure(inst)
     rng = np.random.default_rng(cfg.seed)
     ev = _interior_start(inst, cfg, rng)
     if ev is None:
@@ -569,17 +701,16 @@ def find_critical_points(inst: ProblemInstance,
     generator and results are merged order-independently (sorted by dual
     value, then lexicographically by zeta).
     """
-    _warn_wide_measure(inst)
+    if inst.m > 2:
+        warnings.warn(
+            f"m = {inst.m} > 2 measure components: the triality labels of the "
+            "non-global pairs assume a convex measure range, which is not verified",
+            RuntimeWarning, stacklevel=2)
     rng = np.random.default_rng(cfg.seed)
-    roots: list[np.ndarray] = []
-    total_iters = 0
-    converged_starts = 0
-    for zeta0 in _sample_starts(inst, cfg, rng):
-        zeta, iters, ok = _newton_root(inst, zeta0, cfg)
-        total_iters += iters
-        if ok:
-            converged_starts += 1
-            roots.append(zeta.vector())
+    Z, iters, converged = _newton_roots(inst, _sample_starts(inst, cfg, rng), cfg)
+    roots = list(Z[converged])
+    total_iters = int(iters.sum())
+    converged_starts = int(converged.sum())
     roots.extend(_primal_seeded_roots(inst, cfg, rng))
     roots.extend(_univariate_roots(inst, cfg))
     pairs = []

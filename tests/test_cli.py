@@ -172,3 +172,11 @@ def test_invalid_beta_override_is_input_error(command, beta, ex1_path, capsys):
     target = ex1_path if command == "solve" else "3"
     assert main([command, target, "--beta", beta]) == 1
     assert "error [NON_POSITIVE_PARAMETER]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["2", "-1"])
+@pytest.mark.parametrize("example", ["1", "2"])
+def test_beta_override_of_fixed_benchmark_is_input_error(example, beta, capsys):
+    # only benchmark 3 re-solves at another beta; 1 and 2 must not ignore it
+    assert main(["reproduce", example, "--beta", beta]) == 1
+    assert "error [INVALID_MODEL]" in capsys.readouterr().err

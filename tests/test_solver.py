@@ -11,16 +11,22 @@ from canodual.model import (
     Region,
     validate,
 )
+from canodual.dual import assemble, grad_dual, hess_dual
+from canodual.oracle import grid_global_min
 from canodual.primal import eval_primal, grad_primal
 from canodual.solver import (
     SolverConfig,
+    _evaluate,
+    _hessians,
+    _newton_roots,
+    _sample_starts,
     find_critical_points,
     make_pair,
     solve_global,
     triality_classify,
 )
 
-from conftest import rand_instance
+from conftest import rand_feasible_zeta, rand_instance
 
 
 def _nearest(pairs, sigma):
@@ -204,3 +210,131 @@ class TestWarnings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             solve_global(fixtures.example1())
+
+    @pytest.mark.parametrize("n, p, r", [(2, 0, 3), (2, 1, 2), (3, 1, 2)])
+    def test_wide_measure_certificate_does_not_warn(self, n, p, r):
+        # the positive-definite certificate is weak duality, valid for any m
+        import warnings
+
+        inst = rand_instance(np.random.default_rng(3), n=n, p=p, r=r, spd_quartic=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best = solve_global(inst).best
+        _, v_star = grid_global_min(inst, (-6.0, 6.0), resolution=601 if n == 2 else 121)
+        assert best.classification == Classification.GLOBAL_MIN
+        assert best.primal_value == pytest.approx(v_star, abs=1e-8)
+
+
+def _singular_start(inst):
+    """Dual point sigma_1 e_1 of a tau-free instance with A + sigma_1 B_1
+    singular, or None when no real sigma_1 makes it so."""
+    mu = np.linalg.eigvals(np.linalg.solve(inst.B_stack[0], inst.A))
+    real = mu.real[np.abs(mu.imag) < 1e-12]
+    if real.size == 0:
+        return None
+    z = np.zeros(inst.m)
+    z[0] = -real[0]
+    return z
+
+
+def _serial_newton_root(inst, z, cfg):
+    """Reference for the lockstep search: the same Newton iteration for one
+    start, one point at a time through the public dual functions."""
+    def factor(z):
+        zeta = DualPoint.from_vector(z, inst.p)
+        if not zeta.tau_interior():
+            return None, None
+        G = assemble(inst, zeta)
+        return (None, None) if G.is_singular else (zeta, G)
+
+    def tau_cap(tau, dtau, floor, ftb=0.995):
+        cap = np.inf
+        for value, slope in list(zip(tau, dtau)) + [(1.0 - float(tau.sum()), -float(dtau.sum()))]:
+            if slope < 0.0:
+                allowed = value - max(floor, (1.0 - ftb) * value)
+                cap = min(cap, max(allowed, 0.0) / (-slope))
+        return cap
+
+    zeta, G = factor(z)
+    if zeta is None:
+        return z, 0, False
+    g = grad_dual(inst, zeta, factor=G)
+    for it in range(1, cfg.max_iter + 1):
+        ginf = float(np.max(np.abs(g)))
+        if not np.isfinite(ginf):
+            return z, it, False
+        if ginf <= cfg.grad_tol:
+            return z, it, True
+        J = hess_dual(inst, zeta, factor=G)
+        try:
+            step = np.linalg.solve(J, -g)
+        except np.linalg.LinAlgError:
+            step = np.full_like(g, np.nan)
+        if not np.all(np.isfinite(step)):
+            step = -J @ g
+            size = float(np.max(np.abs(step)))
+            if size == 0.0:
+                return z, it, False
+            step /= size
+        merit = 0.5 * float(g @ g)
+        t = min(1.0, tau_cap(zeta.tau, step[:inst.p], cfg.boundary_margin))
+        while t > 1e-16:
+            trial, trial_G = factor(z + t * step)
+            if trial is not None:
+                gt = grad_dual(inst, trial, factor=trial_G)
+                if np.all(np.isfinite(gt)) and 0.5 * float(gt @ gt) <= merit * (1.0 - 2e-4 * t):
+                    break
+            t *= 0.5
+        else:
+            return z, it, False
+        z, zeta, G, g = z + t * step, trial, trial_G, gt
+    return z, cfg.max_iter, float(np.max(np.abs(g))) <= cfg.grad_tol
+
+
+class TestLockstepRoots:
+    def test_stacked_evaluation_matches_pointwise(self):
+        # bit for bit, so the lockstep search takes the serial decisions
+        rng = np.random.default_rng(11)
+        for n in range(1, 5):
+            for m in range(1, 4):
+                for p in range(m + 1):
+                    inst = rand_instance(rng, n=n, p=p, r=m - p)
+                    Z = np.array([rand_feasible_zeta(rng, inst).vector() for _ in range(5)])
+                    pts = _evaluate(inst, Z)
+                    H = _hessians(inst, Z[:, :p], pts)
+                    assert pts.valid.all()
+                    for i, z in enumerate(Z):
+                        zeta = DualPoint.from_vector(z, p)
+                        assert np.array_equal(pts.grad[i], grad_dual(inst, zeta))
+                        assert np.array_equal(H[i], hess_dual(inst, zeta))
+
+    def test_rows_end_as_they_would_alone(self):
+        """Running k starts in one call gives bitwise the result of k
+        one-row calls, and of the one-point-at-a-time reference: the
+        lockstep rounds couple no two starts."""
+        rng = np.random.default_rng(7)
+        cfg = SolverConfig(num_starts=6, max_iter=30)
+        endings = set()
+        for n in range(1, 5):
+            for m in range(1, 4):
+                for p in range(m + 1):
+                    inst = rand_instance(rng, n=n, p=p, r=m - p)
+                    Z0 = _sample_starts(inst, cfg, rng)
+                    # a start outside the simplex, or one where G(zeta) is singular
+                    bad = np.full(m, 1.5) if p else _singular_start(inst)
+                    if bad is not None:
+                        Z0 = np.vstack([Z0, bad])
+                    Z, iters, converged = _newton_roots(inst, Z0, cfg)
+                    if bad is not None:
+                        assert iters[-1] == 0 and not converged[-1]
+                    for i, z0 in enumerate(Z0):
+                        z, it, ok = _newton_roots(inst, z0[None], cfg)
+                        assert np.array_equal(z[0], Z[i])
+                        assert (it[0], ok[0]) == (iters[i], converged[i])
+                        z, it, ok = _serial_newton_root(inst, z0, cfg)
+                        assert np.array_equal(z, Z[i])
+                        assert (it, ok) == (iters[i], converged[i])
+                    endings |= {"rejected" if it == 0 else "converged" if ok
+                                else "capped" if it == cfg.max_iter else "stalled"
+                                for it, ok in zip(iters, converged)}
+        assert endings == {"rejected", "converged", "capped", "stalled"}
