@@ -62,17 +62,13 @@ def _print_report(report: SolveReport, status: str, as_json: bool):
         print(f"    x = ({x})  tau = ({tau})  sigma = ({sigma})")
 
 
-def _empty_report() -> SolveReport:
-    return SolveReport()
-
-
 def cmd_solve(args) -> int:
     try:
         inst = _load(args.path)
-    except (OSError, CanodualError) as exc:
+        cfg = _config(args)
+    except (OSError, ValueError, CanodualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cfg = _config(args)
     try:
         if args.beta is not None:
             inst = validate(replace(inst, beta=args.beta))
@@ -100,7 +96,7 @@ def cmd_solve(args) -> int:
         _print_report(report, "GLOBAL_MIN_FOUND", args.json)
         return 0
     except (HardCaseError, NoDualCriticalPointError, UnboundedError) as exc:
-        report = _empty_report()
+        report = SolveReport()
         report.notes.append(str(exc))
         if exc.code == "NO_SA_PLUS_CRITICAL_POINT":
             report.notes.append(
@@ -141,9 +137,7 @@ def cmd_check_existence(args) -> int:
 
 def cmd_reproduce(args) -> int:
     try:
-        comparison = reproduce_example(args.example, beta=args.beta,
-                                       cfg=SolverConfig(seed=args.seed,
-                                                        num_starts=args.starts))
+        comparison = reproduce_example(args.example, beta=args.beta, cfg=_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -157,11 +151,12 @@ def cmd_reproduce(args) -> int:
 def cmd_oracle_compare(args) -> int:
     try:
         inst = _load(args.path)
-    except (OSError, CanodualError) as exc:
+        cfg = _config(args)
+    except (OSError, ValueError, CanodualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        report = solve_global(inst, _config(args))
+        report = solve_global(inst, cfg)
         x_star, v_star = oracle.grid_global_min(inst, (-6.0, 6.0), resolution=601)
     except DimensionTooLargeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

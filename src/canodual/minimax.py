@@ -217,7 +217,7 @@ def _solve_canonical(can: CanonicalForm, cfg: SolverConfig) -> SolveReport:
     problem = can.to_problem()
     pairs = []
     for tau in roots:
-        pair = make_pair(problem, DualPoint(tau=np.array([tau]), sigma=np.zeros(0)), cfg)
+        pair = make_pair(problem, DualPoint(tau=np.array([tau]), sigma=np.zeros(0)))
         if pair is None:
             continue
         pairs.append(CriticalPair(

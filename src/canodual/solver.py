@@ -12,6 +12,13 @@ reported as the hard case.
 one array of dual vectors, deduplicates the roots, and classifies every
 resulting primal/dual pair.
 
+Every dual evaluation inside the solvers goes through one stacked kernel
+(``_evaluate`` and ``_hessians``) on a (k, m) array of flat dual vectors:
+the lockstep multistart, the ascent and its interior start (one row at a
+time), and the refinement of the m = 1 scan. Only ``make_pair`` and
+``triality_classify``, at the API edge, evaluate a ``DualPoint`` through
+the per-point functions of ``dual``.
+
 Classification semantics at a dual critical point zeta with recovered x:
 
 * G(zeta) positive definite  -> x is the global minimizer.
@@ -33,7 +40,8 @@ import numpy as np
 from . import dual as _dual
 from . import primal as _primal
 from . import univariate
-from .errors import DomainError, HardCaseError, NotCriticalError, SingularMatrixError
+from .dual import BOUNDARY_MARGIN, GRAD_TOL
+from .errors import HardCaseError, NotCriticalError
 from .model import (
     Classification,
     CriticalPair,
@@ -47,16 +55,11 @@ from .model import (
 
 @dataclass(frozen=True)
 class SolverConfig:
-    grad_tol: float = 1e-10
     max_iter: int = 200
     num_starts: int = 64
     seed: int = 42
-    boundary_margin: float = 1e-8
-    sing_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.grad_tol, self.boundary_margin, self.sing_tol) <= 0:
-            raise ValueError("tolerances must be positive")
         if self.num_starts < 1 or self.max_iter < 1:
             raise ValueError("num_starts and max_iter must be >= 1")
 
@@ -64,302 +67,8 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-class _Eval:
-    """Per-point dual evaluation sharing one factorization of G(zeta)."""
-
-    __slots__ = ("inst", "zeta", "G", "_value", "_grad", "_hess")
-
-    def __init__(self, inst: ProblemInstance, zeta: DualPoint):
-        if not zeta.tau_interior():
-            raise DomainError("tau not interior")
-        self.inst = inst
-        self.zeta = zeta
-        self.G = _dual.assemble(inst, zeta)
-        if self.G.is_singular:
-            raise SingularMatrixError("singular G(zeta)")
-        self._value = None
-        self._grad = None
-        self._hess = None
-
-    @property
-    def region(self) -> Region:
-        return self.G.region
-
-    def value(self) -> float:
-        if self._value is None:
-            self._value = _dual.eval_dual(self.inst, self.zeta, factor=self.G)
-        return self._value
-
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = _dual.grad_dual(self.inst, self.zeta, factor=self.G)
-        return self._grad
-
-    def hess(self) -> np.ndarray:
-        if self._hess is None:
-            self._hess = _dual.hess_dual(self.inst, self.zeta, factor=self.G)
-        return self._hess
-
-    def grad_inf(self) -> float:
-        g = self.grad()
-        return float(np.max(np.abs(g), initial=0.0))
-
-
-def _try_eval(inst, zeta) -> Optional[_Eval]:
-    try:
-        return _Eval(inst, zeta)
-    except (DomainError, SingularMatrixError):
-        return None
-
-
-def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float,
-                   ftb: float = 0.995) -> np.ndarray:
-    """Per row of ``tau`` (k, p) and step ``dtau``, the largest step keeping
-    each tau_i and the simplex slack above both a (1 - ftb) fraction of their
-    current values and the absolute floor.
-
-    The floor makes the margin-interior simplex the working domain: roots
-    hugging the boundary closer than the margin are outside the search by
-    design (their iterates stall at the floor and are discarded).
-    """
-    if tau.shape[1] == 0:
-        return np.full(len(tau), np.inf)
-    value = np.column_stack([tau, 1.0 - tau.sum(axis=1)])
-    slope = np.column_stack([dtau, -dtau.sum(axis=1)])
-    allowed = np.maximum(value - np.maximum(floor, (1.0 - ftb) * value), 0.0)
-    cap = np.divide(allowed, -slope, out=np.full(value.shape, np.inf),
-                    where=slope < 0.0)
-    return cap.min(axis=1)
-
-
 # ---------------------------------------------------------------------------
-# start sampling
-
-def _stratified_uniforms(rng: np.random.Generator, num: int, dims: int) -> np.ndarray:
-    """Latin-hypercube sample of [0, 1)^dims: stratified per coordinate so
-    the starts cover the box without clumping."""
-    if dims == 0:
-        return np.zeros((num, 0))
-    strata = np.stack([rng.permutation(num) for _ in range(dims)], axis=1)
-    return (strata + rng.uniform(0.0, 1.0, (num, dims))) / num
-
-
-def _tau_from_uniforms(u: np.ndarray, margin: float) -> np.ndarray:
-    # flat Dirichlet over (tau, slack) via exponential spacings, floored
-    # away from the boundary
-    p = u.size - 1
-    w = -np.log1p(-np.clip(u, 0.0, 1.0 - 1e-12))
-    total = w.sum()
-    tau = w[:p] / total if total > 0 else np.full(p, 1.0 / (p + 1))
-    tau = np.maximum(tau, margin)
-    total = tau.sum()
-    if total >= 1.0 - margin:
-        tau *= (1.0 - (p + 1) * margin) / total
-    return tau
-
-
-def _sigma_box(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component sampling interval for sigma.
-
-    Anchored at alpha_i c_i (the smallest constitutive value when B_i is
-    positive semidefinite) and widened past +-||A||_2 so the box itself
-    spans every definiteness change of G.
-    """
-    norm_a = float(np.max(np.abs(np.linalg.eigvalsh(inst.A))))
-    anchor = inst.alpha * inst.c
-    spread = 10.0 * (1.0 + norm_a / inst.alpha)
-    lo = np.minimum(anchor, -norm_a) - spread
-    hi = np.maximum(anchor, norm_a) + spread
-    return lo, hi
-
-
-def _sample_starts(inst: ProblemInstance, cfg: SolverConfig,
-                   rng: np.random.Generator) -> np.ndarray:
-    """``cfg.num_starts`` dual starts as rows (tau, sigma) of a (k, m) array."""
-    lo, hi = _sigma_box(inst) if inst.r else (np.zeros(0), np.zeros(0))
-    u_tau = _stratified_uniforms(rng, cfg.num_starts, inst.p + 1 if inst.p else 0)
-    u_sigma = _stratified_uniforms(rng, cfg.num_starts, inst.r)
-    tau = (np.array([_tau_from_uniforms(u, cfg.boundary_margin) for u in u_tau])
-           if inst.p else np.zeros((cfg.num_starts, 0)))
-    sigma = lo + u_sigma * (hi - lo)
-    return np.hstack([tau, sigma])
-
-
-def _primal_seeded_roots(inst: ProblemInstance, cfg: SolverConfig,
-                         rng: np.random.Generator) -> list[np.ndarray]:
-    """Dual starts harvested from primal critical points.
-
-    Primal critical points and dual critical points are in bijection
-    through the constitutive map wherever G is nonsingular, and the primal
-    basins (especially of local minima, which pair with dual saddles) are
-    far larger than the thin dual merit basins near singular points. A
-    short Newton root find on the primal gradient followed by one lockstep
-    dual polish of all harvested starts recovers those roots cheaply.
-    """
-    duality_map = _primal.duality_map
-    grad_primal = _primal.grad_primal
-    hess_primal = _primal.hess_primal
-    spread = 2.5 * (1.0 + float(np.max(np.abs(inst.f), initial=0.0)))
-    starts: list[np.ndarray] = []
-    fscale = 1.0 + float(np.max(np.abs(inst.f), initial=0.0))
-    for _ in range(max(2, cfg.num_starts // 8)):
-        x = rng.standard_normal(inst.n) * spread
-        converged = False
-        for _ in range(40):
-            g = grad_primal(inst, x)
-            ginf = float(np.max(np.abs(g)))
-            if not np.isfinite(ginf):
-                break
-            if ginf <= 1e-8 * fscale:
-                converged = True
-                break
-            H = hess_primal(inst, x)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step = -g
-            if not np.all(np.isfinite(step)):
-                step = -g
-            merit = float(g @ g)
-            t = 1.0
-            moved = False
-            while t > 1e-14:
-                x_t = x + t * step
-                g_t = grad_primal(inst, x_t)
-                if np.all(np.isfinite(g_t)) and float(g_t @ g_t) <= merit * (1.0 - 1e-4 * t):
-                    x, moved = x_t, True
-                    break
-                t *= 0.5
-            if not moved:
-                break
-        if not converged:
-            continue
-        zeta0 = duality_map(inst, x)
-        if zeta0.tau_interior(cfg.boundary_margin):
-            starts.append(zeta0.vector())
-    Z, _, ok = _newton_roots(inst, np.reshape(starts, (-1, inst.m)), cfg)
-    return list(Z[ok])
-
-
-def _univariate_scan_values(inst: ProblemInstance, grid: np.ndarray) -> np.ndarray:
-    """Dual derivative on a grid of the single weight, batched; NaN where G
-    is singular (or too close to it)."""
-    M = inst.Q_stack[0] if inst.p else inst.B_stack[0]
-    G = inst.A[None, :, :] + grid[:, None, None] * M[None, :, :]
-    w = np.linalg.eigvalsh(G)
-    scale = 1.0 + np.max(np.abs(G), axis=(1, 2))
-    valid = np.min(np.abs(w), axis=1) > _dual.SING_TOL * scale
-    out = np.full(grid.size, np.nan)
-    if np.any(valid):
-        rhs = np.broadcast_to(inst.f, (int(valid.sum()), inst.n))[..., None]
-        x = np.linalg.solve(G[valid], rhs)[..., 0]
-        quad = 0.5 * np.einsum("ki,ij,kj->k", x, M, x)
-        t = grid[valid]
-        if inst.p:
-            out[valid] = quad + inst.d[0] - np.log(t / (1.0 - t)) / inst.beta
-        else:
-            out[valid] = quad + inst.c[0] - t / inst.alpha[0]
-    return out
-
-
-def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> list[np.ndarray]:
-    """Deterministic sign-change scan for m = 1 instances.
-
-    Multistart Newton can step over thin basins next to the singular points
-    of G; a dense bracket-and-bisect over the same sampling interval is
-    cheap in one variable and recovers every sign change of the dual
-    derivative (grid cells touching a singular point are skipped)."""
-    if inst.m != 1:
-        return []
-    if inst.r == 1:
-        lo, hi = _sigma_box(inst)
-        grid = np.linspace(float(lo[0]), float(hi[0]), 4096)
-    else:
-        margin = max(cfg.boundary_margin, 1e-12)
-        grid = np.linspace(margin, 1.0 - margin, 4096)
-
-    def deriv_at(s: float):
-        ev = _try_eval(inst, DualPoint.from_vector(np.array([s]), inst.p))
-        if ev is None:
-            return None
-        g = float(ev.grad()[0])
-        return g if np.isfinite(g) else None
-
-    vals = _univariate_scan_values(inst, grid)
-    tol = max(cfg.grad_tol, 1e-13)
-    roots: list[np.ndarray] = []
-    finite = np.isfinite(vals)
-    sign_change = np.nonzero(finite[:-1] & finite[1:]
-                             & (vals[:-1] * vals[1:] <= 0.0))[0]
-    for i in sign_change:
-        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
-                                       float(vals[i]), tol, cfg.max_iter, rtol=1e-15)
-        if fm is not None and abs(fm) <= 10.0 * tol:
-            roots.append(np.array([mid]))
-    return roots
-
-
-def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
-                    rng: np.random.Generator) -> Optional[_Eval]:
-    """A point with tau interior and G(zeta) positive definite, or None."""
-    tau0 = np.full(inst.p, 0.5 / max(inst.p, 1))[:inst.p]
-    if inst.r:
-        # lift along sum(B) when the quartic block can shift G positive
-        B_sum = inst.B_stack.sum(axis=0)
-        wB = np.linalg.eigvalsh(B_sum)
-        B_all_psd = all(np.linalg.eigvalsh(t.B).min() > -_dual.SING_TOL * 10
-                        for t in inst.quartic_terms)
-        if B_all_psd and wB[0] > 1e-12:
-            M = inst.curvature(tau0, np.zeros(inst.r))
-            ell = float(np.linalg.eigvalsh(M)[0])
-            scale = 1.0 + float(np.max(np.abs(inst.A)))
-            s = max(0.0, (-ell + 0.05 * scale + 0.5)) / wB[0]
-            ev = _try_eval(inst, DualPoint(tau=tau0, sigma=np.full(inst.r, s)))
-            if ev is not None and ev.region == Region.SA_PLUS:
-                return ev
-    for z in _sample_starts(inst, cfg, rng):
-        ev = _try_eval(inst, DualPoint.from_vector(z, inst.p))
-        if ev is not None and ev.region == Region.SA_PLUS:
-            return ev
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Newton drivers
-
-def _newton_ascent(inst: ProblemInstance, ev: _Eval, cfg: SolverConfig):
-    """Damped Newton maximization of the dual inside the positive region.
-
-    Returns (eval_at_solution, iterations, converged).
-    """
-    for it in range(1, cfg.max_iter + 1):
-        g = ev.grad()
-        if float(np.max(np.abs(g))) <= cfg.grad_tol:
-            return ev, it, True
-        H = ev.hess()
-        try:
-            step = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError:
-            step = g.copy()
-        if not np.all(np.isfinite(step)) or float(g @ step) <= 0.0:
-            step = g.copy()
-        z = ev.zeta.vector()
-        t = min(1.0, _tau_step_caps(ev.zeta.tau[None], step[None, :inst.p],
-                                   cfg.boundary_margin)[0])
-        slope = float(g @ step)
-        accepted = None
-        while t > 1e-16:
-            trial = _try_eval(inst, DualPoint.from_vector(z + t * step, inst.p))
-            if trial is not None and trial.region == Region.SA_PLUS \
-                    and trial.value() >= ev.value() + 1e-4 * t * slope:
-                accepted = trial
-                break
-            t *= 0.5
-        if accepted is None:
-            return ev, it, False
-        ev = accepted
-    return ev, cfg.max_iter, float(np.max(np.abs(ev.grad()))) <= cfg.grad_tol
-
+# stacked dual kernel: every evaluation inside the solvers
 
 class _Points(NamedTuple):
     """Dual gradients at a stack of k points and the factorisation of G
@@ -436,8 +145,10 @@ def _hessians(inst: ProblemInstance, tau: np.ndarray, pts: _Points) -> np.ndarra
     simplex weights ``tau`` (k, p), computed as ``dual.hess_dual`` does."""
     k, m, p = len(tau), inst.m, inst.p
     F = pts.Mx.transpose(0, 2, 1)
-    if p and inst.r:
-        F = np.ascontiguousarray(F)  # the layout dual.measure_jacobian builds
+    if p == 1 and inst.r == 1:
+        # the layout dual.measure_jacobian builds: column-major, except when
+        # it stacks two single columns; the product F'G^{-1}F rounds by it
+        F = np.ascontiguousarray(F)
     GinvF = pts.U @ ((pts.U.transpose(0, 2, 1) @ F) / pts.w[:, :, None])
     Dinv = np.zeros((k, m, m))
     if p:
@@ -449,6 +160,271 @@ def _hessians(inst: ProblemInstance, tau: np.ndarray, pts: _Points) -> np.ndarra
         Dinv[:, p:, p:] = np.diag(1.0 / inst.alpha)
     H = -F.transpose(0, 2, 1) @ GinvF - Dinv
     return 0.5 * (H + H.transpose(0, 2, 1))
+
+
+def _positive_point(inst: ProblemInstance, z: np.ndarray) -> Optional[_Points]:
+    """The one-row evaluation at z when tau is interior and G(z) is positive
+    definite, else None."""
+    pts = _evaluate(inst, z[None])
+    return pts if pts.valid[0] and pts.w[0, 0] > 0.0 else None
+
+
+def _dual_value(inst: ProblemInstance, z: np.ndarray, pts: _Points) -> float:
+    """Dual value at z from its one-row evaluation, rounded as
+    ``dual.eval_dual`` rounds it."""
+    U, w = pts.U[0], pts.w[0]
+    x = U @ ((U.T @ inst.f) / w)
+    return (-0.5 * float(inst.f @ x) - _dual.conjugate_lse(inst, z[:inst.p])
+            - _dual.conjugate_quartic(inst, z[inst.p:]))
+
+
+def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float,
+                   ftb: float = 0.995) -> np.ndarray:
+    """Per row of ``tau`` (k, p) and step ``dtau``, the largest step keeping
+    each tau_i and the simplex slack above both a (1 - ftb) fraction of their
+    current values and the absolute floor.
+
+    The floor makes the margin-interior simplex the working domain: roots
+    hugging the boundary closer than the margin are outside the search by
+    design (their iterates stall at the floor and are discarded).
+    """
+    if tau.shape[1] == 0:
+        return np.full(len(tau), np.inf)
+    value = np.column_stack([tau, 1.0 - tau.sum(axis=1)])
+    slope = np.column_stack([dtau, -dtau.sum(axis=1)])
+    allowed = np.maximum(value - np.maximum(floor, (1.0 - ftb) * value), 0.0)
+    cap = np.divide(allowed, -slope, out=np.full(value.shape, np.inf),
+                    where=slope < 0.0)
+    return cap.min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# start sampling
+
+def _stratified_uniforms(rng: np.random.Generator, num: int, dims: int) -> np.ndarray:
+    """Latin-hypercube sample of [0, 1)^dims: stratified per coordinate so
+    the starts cover the box without clumping."""
+    if dims == 0:
+        return np.zeros((num, 0))
+    strata = np.stack([rng.permutation(num) for _ in range(dims)], axis=1)
+    return (strata + rng.uniform(0.0, 1.0, (num, dims))) / num
+
+
+def _tau_from_uniforms(u: np.ndarray, margin: float) -> np.ndarray:
+    # flat Dirichlet over (tau, slack) via exponential spacings, floored
+    # away from the boundary
+    p = u.size - 1
+    w = -np.log1p(-np.clip(u, 0.0, 1.0 - 1e-12))
+    total = w.sum()
+    tau = w[:p] / total if total > 0 else np.full(p, 1.0 / (p + 1))
+    tau = np.maximum(tau, margin)
+    total = tau.sum()
+    if total >= 1.0 - margin:
+        tau *= (1.0 - (p + 1) * margin) / total
+    return tau
+
+
+def _sigma_box(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component sampling interval for sigma.
+
+    Anchored at alpha_i c_i (the smallest constitutive value when B_i is
+    positive semidefinite) and widened past +-||A||_2 so the box itself
+    spans every definiteness change of G.
+    """
+    norm_a = float(np.max(np.abs(np.linalg.eigvalsh(inst.A))))
+    anchor = inst.alpha * inst.c
+    spread = 10.0 * (1.0 + norm_a / inst.alpha)
+    lo = np.minimum(anchor, -norm_a) - spread
+    hi = np.maximum(anchor, norm_a) + spread
+    return lo, hi
+
+
+def _sample_starts(inst: ProblemInstance, cfg: SolverConfig,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``cfg.num_starts`` dual starts as rows (tau, sigma) of a (k, m) array."""
+    lo, hi = _sigma_box(inst) if inst.r else (np.zeros(0), np.zeros(0))
+    u_tau = _stratified_uniforms(rng, cfg.num_starts, inst.p + 1 if inst.p else 0)
+    u_sigma = _stratified_uniforms(rng, cfg.num_starts, inst.r)
+    tau = (np.array([_tau_from_uniforms(u, BOUNDARY_MARGIN) for u in u_tau])
+           if inst.p else np.zeros((cfg.num_starts, 0)))
+    sigma = lo + u_sigma * (hi - lo)
+    return np.hstack([tau, sigma])
+
+
+def _primal_seeded_roots(inst: ProblemInstance, cfg: SolverConfig,
+                         rng: np.random.Generator) -> list[np.ndarray]:
+    """Dual starts harvested from primal critical points.
+
+    Primal critical points and dual critical points are in bijection
+    through the constitutive map wherever G is nonsingular, and the primal
+    basins (especially of local minima, which pair with dual saddles) are
+    far larger than the thin dual merit basins near singular points. A
+    short Newton root find on the primal gradient followed by one lockstep
+    dual polish of all harvested starts recovers those roots cheaply.
+    """
+    duality_map = _primal.duality_map
+    grad_primal = _primal.grad_primal
+    hess_primal = _primal.hess_primal
+    spread = 2.5 * (1.0 + float(np.max(np.abs(inst.f), initial=0.0)))
+    starts: list[np.ndarray] = []
+    fscale = 1.0 + float(np.max(np.abs(inst.f), initial=0.0))
+    for _ in range(max(2, cfg.num_starts // 8)):
+        x = rng.standard_normal(inst.n) * spread
+        converged = False
+        for _ in range(40):
+            g = grad_primal(inst, x)
+            ginf = float(np.max(np.abs(g)))
+            if not np.isfinite(ginf):
+                break
+            if ginf <= 1e-8 * fscale:
+                converged = True
+                break
+            H = hess_primal(inst, x)
+            try:
+                step = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                step = -g
+            if not np.all(np.isfinite(step)):
+                step = -g
+            merit = float(g @ g)
+            t = 1.0
+            moved = False
+            while t > 1e-14:
+                x_t = x + t * step
+                g_t = grad_primal(inst, x_t)
+                if np.all(np.isfinite(g_t)) and float(g_t @ g_t) <= merit * (1.0 - 1e-4 * t):
+                    x, moved = x_t, True
+                    break
+                t *= 0.5
+            if not moved:
+                break
+        if not converged:
+            continue
+        zeta0 = duality_map(inst, x)
+        if zeta0.tau_interior(BOUNDARY_MARGIN):
+            starts.append(zeta0.vector())
+    Z, _, ok = _newton_roots(inst, np.reshape(starts, (-1, inst.m)), cfg)
+    return list(Z[ok])
+
+
+def _univariate_scan_values(inst: ProblemInstance, grid: np.ndarray) -> np.ndarray:
+    """Dual derivative on a grid of the single weight, batched; NaN where G
+    is singular (or too close to it)."""
+    M = inst.Q_stack[0] if inst.p else inst.B_stack[0]
+    G = inst.A[None, :, :] + grid[:, None, None] * M[None, :, :]
+    w = np.linalg.eigvalsh(G)
+    scale = 1.0 + np.max(np.abs(G), axis=(1, 2))
+    valid = np.min(np.abs(w), axis=1) > _dual.SING_TOL * scale
+    out = np.full(grid.size, np.nan)
+    if np.any(valid):
+        rhs = np.broadcast_to(inst.f, (int(valid.sum()), inst.n))[..., None]
+        x = np.linalg.solve(G[valid], rhs)[..., 0]
+        quad = 0.5 * np.einsum("ki,ij,kj->k", x, M, x)
+        t = grid[valid]
+        if inst.p:
+            out[valid] = quad + inst.d[0] - np.log(t / (1.0 - t)) / inst.beta
+        else:
+            out[valid] = quad + inst.c[0] - t / inst.alpha[0]
+    return out
+
+
+def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> list[np.ndarray]:
+    """Deterministic sign-change scan for m = 1 instances.
+
+    Multistart Newton can step over thin basins next to the singular points
+    of G; a dense bracket-and-bisect over the same sampling interval is
+    cheap in one variable and recovers every sign change of the dual
+    derivative (grid cells touching a singular point are skipped)."""
+    if inst.m != 1:
+        return []
+    if inst.r == 1:
+        lo, hi = _sigma_box(inst)
+        grid = np.linspace(float(lo[0]), float(hi[0]), 4096)
+    else:
+        grid = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
+
+    def deriv_at(s: float):
+        g = float(_evaluate(inst, np.array([[s]])).grad[0, 0])
+        return g if np.isfinite(g) else None
+
+    vals = _univariate_scan_values(inst, grid)
+    roots: list[np.ndarray] = []
+    finite = np.isfinite(vals)
+    sign_change = np.nonzero(finite[:-1] & finite[1:]
+                             & (vals[:-1] * vals[1:] <= 0.0))[0]
+    for i in sign_change:
+        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
+                                       float(vals[i]), GRAD_TOL, cfg.max_iter, rtol=1e-15)
+        if fm is not None and abs(fm) <= 10.0 * GRAD_TOL:
+            roots.append(np.array([mid]))
+    return roots
+
+
+def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
+                    rng: np.random.Generator) -> Optional[tuple[np.ndarray, _Points]]:
+    """A point with tau interior and G(zeta) positive definite, with its
+    one-row evaluation, or None."""
+    tau0 = np.full(inst.p, 0.5 / max(inst.p, 1))[:inst.p]
+    if inst.r:
+        # lift along sum(B) when the quartic block can shift G positive
+        B_sum = inst.B_stack.sum(axis=0)
+        wB = np.linalg.eigvalsh(B_sum)
+        B_all_psd = all(np.linalg.eigvalsh(t.B).min() > -_dual.SING_TOL * 10
+                        for t in inst.quartic_terms)
+        if B_all_psd and wB[0] > 1e-12:
+            M = inst.curvature(tau0, np.zeros(inst.r))
+            ell = float(np.linalg.eigvalsh(M)[0])
+            scale = 1.0 + float(np.max(np.abs(inst.A)))
+            s = max(0.0, (-ell + 0.05 * scale + 0.5)) / wB[0]
+            z = np.concatenate([tau0, np.full(inst.r, s)])
+            pts = _positive_point(inst, z)
+            if pts is not None:
+                return z, pts
+    # one start at a time: the first one usually succeeds
+    for z in _sample_starts(inst, cfg, rng):
+        pts = _positive_point(inst, z)
+        if pts is not None:
+            return z, pts
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Newton drivers
+
+def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _Points,
+                   cfg: SolverConfig):
+    """Damped Newton maximization of the dual inside the positive region,
+    from z with its one-row evaluation ``pts``.
+
+    Returns (z, pts, iterations, converged) at the last accepted point.
+    """
+    p = inst.p
+    value = _dual_value(inst, z, pts)
+    for it in range(1, cfg.max_iter + 1):
+        g = pts.grad[0]
+        if float(np.max(np.abs(g))) <= GRAD_TOL:
+            return z, pts, it, True
+        H = _hessians(inst, z[None, :p], pts)[0]
+        try:
+            step = np.linalg.solve(-H, g)
+        except np.linalg.LinAlgError:
+            step = g.copy()
+        if not np.all(np.isfinite(step)) or float(g @ step) <= 0.0:
+            step = g.copy()
+        t = min(1.0, _tau_step_caps(z[None, :p], step[None, :p], BOUNDARY_MARGIN)[0])
+        slope = float(g @ step)
+        while t > 1e-16:
+            trial = z + t * step
+            trial_pts = _positive_point(inst, trial)
+            if trial_pts is not None:
+                trial_value = _dual_value(inst, trial, trial_pts)
+                if trial_value >= value + 1e-4 * t * slope:
+                    break
+            t *= 0.5
+        else:
+            return z, pts, it, False
+        z, pts, value = trial, trial_pts, trial_value
+    return z, pts, cfg.max_iter, float(np.max(np.abs(pts.grad[0]))) <= GRAD_TOL
 
 
 def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _Points):
@@ -515,14 +491,14 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
         ginf = np.abs(pts.grad[S]).max(axis=1)
         capped = iters[S] > cfg.max_iter
         iters[S[capped]] = cfg.max_iter
-        converged[S] = ginf <= cfg.grad_tol
+        converged[S] = ginf <= GRAD_TOL
         running[S[capped | ~np.isfinite(ginf) | converged[S]]] = False
         S = S[running[S]]
         if S.size:
             dz, flat = _directions(inst, Z[S, :p], _Points(*(a[S] for a in pts)))
             running[S[flat]] = False
             step[S] = dz
-            t0[S] = np.minimum(1.0, _tau_step_caps(Z[S, :p], dz[:, :p], cfg.boundary_margin))
+            t0[S] = np.minimum(1.0, _tau_step_caps(Z[S, :p], dz[:, :p], BOUNDARY_MARGIN))
             tried[S] = 0
             merit[S] = _half_sq_norms(pts.grad[S])
         # the pending trials: t0 alone first, then a batch of halvings
@@ -574,9 +550,17 @@ def _definiteness_label(eigs: np.ndarray, tol: float) -> Classification:
     return Classification.UNCLASSIFIED
 
 
-def triality_classify(inst: ProblemInstance, pair: CriticalPair,
-                      cfg: SolverConfig = DEFAULT_CONFIG) -> CriticalPair:
-    """Attach triality labels to a critical pair.
+def _factor(inst: ProblemInstance, zeta: DualPoint) -> Optional[_dual.ShiftedHessian]:
+    """The factorisation of G(zeta) when tau is in the open simplex and G is
+    nonsingular, else None."""
+    if not zeta.tau_interior():
+        return None
+    G = _dual.assemble(inst, zeta)
+    return None if G.is_singular else G
+
+
+def triality_classify(inst: ProblemInstance, pair: CriticalPair) -> CriticalPair:
+    """Attach triality labels and the dual gradient residual to a critical pair.
 
     Raises :class:`NotCriticalError` when the dual gradient residual exceeds
     ten times the solver tolerance. Near the domain boundary the dual
@@ -584,18 +568,19 @@ def triality_classify(inst: ProblemInstance, pair: CriticalPair,
     gradient that finely; the filter therefore never demands more than the
     attainable precision eps * ||hessian|| * (1 + ||zeta||).
     """
-    ev = _try_eval(inst, pair.zeta)
-    if ev is None:
+    G = _factor(inst, pair.zeta)
+    if G is None:
         return replace(pair, region=Region.SINGULAR,
                        classification=Classification.UNCLASSIFIED)
-    resid = ev.grad_inf()
+    resid = float(np.max(np.abs(_dual.grad_dual(inst, pair.zeta, factor=G)), initial=0.0))
+    Hd = _dual.hess_dual(inst, pair.zeta, factor=G)
     zeta_scale = 1.0 + float(np.max(np.abs(pair.zeta.vector()), initial=0.0))
-    attainable = np.finfo(float).eps * float(np.max(np.abs(ev.hess()))) * zeta_scale
-    limit = max(10.0 * cfg.grad_tol, 1e3 * attainable)
+    attainable = np.finfo(float).eps * float(np.max(np.abs(Hd))) * zeta_scale
+    limit = max(10.0 * GRAD_TOL, 1e3 * attainable)
     if resid > limit:
         raise NotCriticalError("dual gradient too large for classification",
                                residual=resid, limit=limit)
-    region = ev.region
+    region = G.region
     if region == Region.SA_PLUS:
         return replace(pair, region=region, residual=resid,
                        classification=Classification.GLOBAL_MIN,
@@ -603,9 +588,8 @@ def triality_classify(inst: ProblemInstance, pair: CriticalPair,
                        dual_label=Classification.LOCAL_MAX)
 
     Hp = _primal.hess_primal(inst, pair.x)
-    Hd = ev.hess()
-    tol_p = cfg.sing_tol * (1.0 + float(np.max(np.abs(Hp), initial=0.0)))
-    tol_d = cfg.sing_tol * (1.0 + float(np.max(np.abs(Hd), initial=0.0)))
+    tol_p = _dual.SING_TOL * (1.0 + float(np.max(np.abs(Hp), initial=0.0)))
+    tol_d = _dual.SING_TOL * (1.0 + float(np.max(np.abs(Hd), initial=0.0)))
     lp = _definiteness_label(np.linalg.eigvalsh(Hp), tol_p)
     ld = _definiteness_label(np.linalg.eigvalsh(Hd), tol_d)
 
@@ -634,22 +618,21 @@ def triality_classify(inst: ProblemInstance, pair: CriticalPair,
                    primal_label=lp, dual_label=ld)
 
 
-def make_pair(inst: ProblemInstance, zeta: DualPoint,
-              cfg: SolverConfig = DEFAULT_CONFIG) -> Optional[CriticalPair]:
+def make_pair(inst: ProblemInstance, zeta: DualPoint) -> Optional[CriticalPair]:
     """Build and classify the critical pair at a dual root; None when the
     point is singular or fails the criticality filter."""
-    ev = _try_eval(inst, zeta)
-    if ev is None:
+    G = _factor(inst, zeta)
+    if G is None:
         return None
-    x = ev.G.x_of_f
+    x = G.x_of_f
     pv = _primal.eval_primal(inst, x)
-    dv = ev.value()
+    dv = _dual.eval_dual(inst, zeta, factor=G)
     pair = CriticalPair(x=x, zeta=zeta, primal_value=pv, dual_value=dv,
-                        region=ev.region,
+                        region=G.region,
                         classification=Classification.UNCLASSIFIED,
-                        gap=abs(pv - dv), residual=ev.grad_inf())
+                        gap=abs(pv - dv))
     try:
-        return triality_classify(inst, pair, cfg)
+        return triality_classify(inst, pair)
     except NotCriticalError:
         return None
 
@@ -673,18 +656,18 @@ def solve_global(inst: ProblemInstance,
     any number of measure components.
     """
     rng = np.random.default_rng(cfg.seed)
-    ev = _interior_start(inst, cfg, rng)
-    if ev is None:
+    start = _interior_start(inst, cfg, rng)
+    if start is None:
         raise HardCaseError(
             "no strictly feasible point of the positive-definite region found")
-    ev, iters, converged = _newton_ascent(inst, ev, cfg)
+    z, pts, iters, converged = _newton_ascent(inst, *start, cfg)
     if not converged:
-        lam_min = float(ev.G.eigenvalues[0])
         raise HardCaseError(
             "dual ascent stalled at the boundary of the positive-definite "
             "region; no interior critical point",
-            min_eig=lam_min, grad_inf=ev.grad_inf(), iterations=iters)
-    pair = make_pair(inst, ev.zeta, cfg)
+            min_eig=float(pts.w[0, 0]), grad_inf=float(np.max(np.abs(pts.grad[0]))),
+            iterations=iters)
+    pair = make_pair(inst, DualPoint.from_vector(z, inst.p))
     if pair is None or pair.region != Region.SA_PLUS:
         raise HardCaseError("ascent limit is not an interior critical point")
     return SolveReport(critical_pairs=[pair],
@@ -715,7 +698,7 @@ def find_critical_points(inst: ProblemInstance,
     roots.extend(_univariate_roots(inst, cfg))
     pairs = []
     for z in _dedup(roots):
-        pair = make_pair(inst, DualPoint.from_vector(z, inst.p), cfg)
+        pair = make_pair(inst, DualPoint.from_vector(z, inst.p))
         if pair is not None:
             pairs.append(pair)
     pairs = _sorted_pairs(pairs)

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .dual import BOUNDARY_MARGIN, GRAD_TOL
 from .errors import (
     DomainError,
     NoDualCriticalPointError,
@@ -267,7 +268,7 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
         step, floor = 0.25 * (conj.hi - lo), 1e-13
     else:
         step, floor = max(0.1 * scale, 1.0), 1e-14 * scale
-    found = decreasing_root(deriv, lo, conj.hi, step, tol=max(cfg.grad_tol, floor),
+    found = decreasing_root(deriv, lo, conj.hi, step, tol=max(GRAD_TOL, floor),
                             max_iter=cfg.max_iter, fprime=second)
     if found is None:
         raise NoDualCriticalPointError(
@@ -282,22 +283,21 @@ def critical_points(sd: SpectralData, conj: Conjugate,
     sign-change scan of each pole-free interval (a boundary margin kept)."""
     poles = sorted({float(-lam) for lam in sd.lambdas if conj.lo < -lam < conj.hi})
     edges = [conj.lo] + poles + [conj.hi]
-    tol = max(cfg.grad_tol, 1e-13)
     deriv = lambda s: derivative(sd, conj, s)
     roots: list[float] = []
     for a, b in zip(edges[:-1], edges[1:]):
         width = b - a
-        if width <= 4.0 * cfg.boundary_margin:
+        if width <= 4.0 * BOUNDARY_MARGIN:
             continue
-        lo = a + max(cfg.boundary_margin, 1e-9 * width)
-        hi = b - max(cfg.boundary_margin, 1e-9 * width)
+        lo = a + max(BOUNDARY_MARGIN, 1e-9 * width)
+        hi = b - max(BOUNDARY_MARGIN, 1e-9 * width)
         grid = np.linspace(lo, hi, SCAN_POINTS)
         vals = deriv(grid)
         for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
             roots.append(refine(deriv, float(grid[i]), float(grid[i + 1]), float(vals[i]),
-                                tol, cfg.max_iter)[0])
+                                GRAD_TOL, cfg.max_iter)[0])
         for endpoint, v in ((lo, vals[0]), (hi, vals[-1])):
-            if abs(v) <= tol:
+            if abs(v) <= GRAD_TOL:
                 roots.append(float(endpoint))
     dedup: list[float] = []
     for root in sorted(roots):

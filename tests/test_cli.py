@@ -180,3 +180,15 @@ def test_beta_override_of_fixed_benchmark_is_input_error(example, beta, capsys):
     # only benchmark 3 re-solves at another beta; 1 and 2 must not ignore it
     assert main(["reproduce", example, "--beta", beta]) == 1
     assert "error [INVALID_MODEL]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("starts", ["0", "-3"])
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--all-critical"],
+                                     ["oracle-compare"], ["reproduce"]],
+                         ids=["solve", "solve-all-critical", "oracle-compare", "reproduce"])
+def test_nonpositive_starts_is_input_error(command, starts, ex1_path, capsys):
+    target = "1" if command == ["reproduce"] else ex1_path
+    assert main([command[0], target, *command[1:], "--starts", starts]) == 1
+    captured = capsys.readouterr()
+    assert "error: num_starts and max_iter must be >= 1" in captured.err
+    assert captured.out == ""
