@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import minimax, oracle, quartic
+from . import minimax, oracle, quartic, univariate
 from .errors import (
     CanodualError,
     DimensionTooLargeError,
@@ -81,13 +81,13 @@ def cmd_solve(args) -> int:
         if args.specialize:
             try:
                 qi = quartic.QuarticInstance.from_problem(inst)
-                report = quartic.solve(qi, cfg)
+                report = quartic.solve(qi)
                 _print_report(report, "GLOBAL_MIN_FOUND", args.json)
                 return 0
             except ShapeMismatchError:
                 pass
             try:
-                report = minimax.solve_smoothed(inst, cfg)
+                report = minimax.solve_smoothed(inst)
                 _print_report(report, "GLOBAL_MIN_FOUND", args.json)
                 return 0
             except ShapeMismatchError:
@@ -118,10 +118,10 @@ def cmd_check_existence(args) -> int:
     try:
         try:
             qi = quartic.QuarticInstance.from_problem(inst)
-            detail = quartic.existence_detail(qi.spectral(), qi.alpha, qi.c)
+            detail = univariate.existence(qi.spectral(), univariate.quartic(qi.alpha, qi.c))
         except ShapeMismatchError:
             can = minimax.canonical_from_problem(inst)
-            detail = minimax.existence_detail(can.spectral(), can.d, can.beta)
+            detail = univariate.existence(can.spectral(), univariate.entropy(can.d, can.beta))
     except ShapeMismatchError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -105,10 +105,10 @@ def classify_region(inst: ProblemInstance, zeta: DualPoint) -> Region:
     return assemble(inst, zeta).region
 
 
-def _check_simplex(tau: np.ndarray, slack: float = SIMPLEX_SLACK):
+def _check_simplex(tau: np.ndarray):
     if tau.size == 0:
         return
-    if float(tau.min()) < -slack or float(tau.sum()) > 1.0 + slack:
+    if float(tau.min()) < -SIMPLEX_SLACK or float(tau.sum()) > 1.0 + SIMPLEX_SLACK:
         raise DomainError("tau outside the closed unit simplex",
                           tau_min=float(tau.min()), tau_sum=float(tau.sum()))
 

@@ -19,8 +19,8 @@ positive definite; the shared engine's maximizer there recovers the global
 smoothed minimizer. The remaining critical points of the univariate dual
 are enumerated by the engine's scan over (0, 1) minus the spectrum poles
 and classified through the general machinery. This module keeps the
-instance and canonical-form types, the solves, and adapters that take
-(d, beta) in place of a conjugate.
+instance and canonical-form types, the solves, and the (d, beta) forms of
+the dual functions and the existence check.
 
 Smoothing error is one-sided: max <= smoothed <= max + log(2)/beta.
 """
@@ -28,7 +28,7 @@ Smoothing error is one-sided: max <= smoothed <= max + log(2)/beta.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .model import (
-    CriticalPair,
     DualPoint,
     ExistenceVerdict,
     LseTerm,
@@ -49,7 +48,7 @@ from .model import (
     SpectralData,
     _symmetrized,
 )
-from .solver import DEFAULT_CONFIG, SolverConfig, make_pair
+from .solver import make_pair
 
 
 @dataclass(frozen=True)
@@ -199,19 +198,15 @@ def existence_check(sd: SpectralData, d: float, beta: float) -> ExistenceVerdict
     return univariate.existence(sd, univariate.entropy(d, beta))["verdict"]
 
 
-def existence_detail(sd: SpectralData, d: float, beta: float) -> dict:
-    return univariate.existence(sd, univariate.entropy(d, beta))
-
-
-def _solve_canonical(can: CanonicalForm, cfg: SolverConfig) -> SolveReport:
+def _solve_canonical(can: CanonicalForm) -> SolveReport:
     sd = can.spectral()
     conj = univariate.entropy(can.d, can.beta)
     verdict = existence_check(sd, can.d, can.beta)
     # no Newton steps: near the entropy barrier D' grows like a logarithm,
     # Newton steps from the left overshoot the bracket, and bisection is cheaper
     global_root, _ = univariate.maximise(
-        sd, conj, verdict, lambda t: dual_derivative(sd, can.d, can.beta, t), cfg)
-    roots = univariate.critical_points(sd, conj, cfg)
+        sd, conj, verdict, lambda t: dual_derivative(sd, can.d, can.beta, t))
+    roots = univariate.critical_points(sd, conj)
     if not any(abs(t - global_root) <= 1e-9 for t in roots):
         roots = sorted(roots + [global_root])
     problem = can.to_problem()
@@ -220,13 +215,9 @@ def _solve_canonical(can: CanonicalForm, cfg: SolverConfig) -> SolveReport:
         pair = make_pair(problem, DualPoint(tau=np.array([tau]), sigma=np.zeros(0)))
         if pair is None:
             continue
-        pairs.append(CriticalPair(
-            x=can.to_original(pair.x), zeta=pair.zeta,
-            primal_value=pair.primal_value + can.value_shift,
-            dual_value=pair.dual_value + can.value_shift,
-            region=pair.region, classification=pair.classification,
-            primal_label=pair.primal_label, dual_label=pair.dual_label,
-            gap=pair.gap, residual=pair.residual))
+        pairs.append(replace(pair, x=can.to_original(pair.x),
+                             primal_value=pair.primal_value + can.value_shift,
+                             dual_value=pair.dual_value + can.value_shift))
     pairs.sort(key=lambda p: (p.dual_value, float(p.zeta.tau[0])))
     residual = max((p.residual for p in pairs), default=0.0)
     return SolveReport(critical_pairs=pairs, existence_verdict=verdict,
@@ -234,7 +225,7 @@ def _solve_canonical(can: CanonicalForm, cfg: SolverConfig) -> SolveReport:
                        notes=[f"{len(pairs)} univariate dual critical points"])
 
 
-def solve(mm: MinimaxInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def solve(mm: MinimaxInstance) -> SolveReport:
     """Smooth, canonicalize, and solve; the report is in original
     coordinates and original objective values.
 
@@ -243,23 +234,22 @@ def solve(mm: MinimaxInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolveRepor
     their triality labels.
     """
     can = smooth_and_canonicalize(mm)
-    return _solve_canonical(can, cfg)
+    return _solve_canonical(can)
 
 
-def solve_smoothed(inst: ProblemInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def solve_smoothed(inst: ProblemInstance) -> SolveReport:
     """Univariate fast path for an already-smoothed instance (p=1, r=0)."""
-    return _solve_canonical(canonical_from_problem(inst), cfg)
+    return _solve_canonical(canonical_from_problem(inst))
 
 
-def beta_sweep(mm: MinimaxInstance, betas: Sequence[float],
-               cfg: SolverConfig = DEFAULT_CONFIG) -> list[dict]:
+def beta_sweep(mm: MinimaxInstance, betas: Sequence[float]) -> list[dict]:
     """Re-solve under a sequence of smoothing weights; larger beta tightens
     the one-sided log(2)/beta smoothing bound."""
     rows = []
     for beta in betas:
         swapped = MinimaxInstance(A1=mm.A1, A2=mm.A2, f1=mm.f1, f2=mm.f2,
                                   d1=mm.d1, d2=mm.d2, beta=float(beta))
-        report = solve(swapped, cfg)
+        report = solve(swapped)
         best = report.best
         rows.append({"beta": float(beta), "value": best.primal_value,
                      "x": np.array(best.x), "tau": float(best.zeta.tau[0])})

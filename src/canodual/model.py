@@ -264,12 +264,11 @@ class SpectralData:
     k: int
 
     @staticmethod
-    def from_matrix(A: np.ndarray, f: np.ndarray,
-                    cluster_tol: float = EIGEN_CLUSTER_TOL) -> "SpectralData":
+    def from_matrix(A: np.ndarray, f: np.ndarray) -> "SpectralData":
         A = np.atleast_2d(np.asarray(A, dtype=float))
         f = np.atleast_1d(np.asarray(f, dtype=float))
         lam, U = np.linalg.eigh(A)
-        gap = cluster_tol * (1.0 + abs(lam[0]))
+        gap = EIGEN_CLUSTER_TOL * (1.0 + abs(lam[0]))
         k = int(np.count_nonzero(lam - lam[0] <= gap))
         return SpectralData(lambdas=_readonly(lam), U=_readonly(U),
                             f_hat=_readonly(U.T @ f), k=k)

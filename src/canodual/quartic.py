@@ -14,8 +14,8 @@ whose stationarity condition is the secular equation
 
 The shared engine decides existence on the spectral data, separating the
 easy instances from the hard ones up front, and brackets the unique root.
-This module keeps the instance type, the solve, and adapters that take
-(alpha, c) in place of a conjugate.
+This module keeps the instance type, the solve, and the (alpha, c) forms
+of the dual functions and the existence check that the solve calls.
 
 General positive-definite quartic weights are handled by whitening:
 y = B^{1/2} x turns the weight into the identity without changing objective
@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import primal as _primal
 from . import univariate
 from .errors import ShapeMismatchError
 from .model import (
@@ -42,7 +43,6 @@ from .model import (
     SolveReport,
     SpectralData,
 )
-from .solver import DEFAULT_CONFIG, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,7 @@ def existence_check(sd: SpectralData, alpha: float, c: float) -> ExistenceVerdic
     return univariate.existence(sd, univariate.quartic(alpha, c))["verdict"]
 
 
-def existence_detail(sd: SpectralData, alpha: float, c: float) -> dict:
-    """Verdict plus the evaluated quantities behind it (for reporting)."""
-    return univariate.existence(sd, univariate.quartic(alpha, c))
-
-
-def solve(qi: QuarticInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def solve(qi: QuarticInstance) -> SolveReport:
     """Maximize the univariate dual over the positive region and recover the
     global minimizer spectrally.
 
@@ -129,14 +124,12 @@ def solve(qi: QuarticInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolveRepor
     verdict = existence_check(sd, qi.alpha, qi.c)
     sigma_bar, iters = univariate.maximise(
         sd, univariate.quartic(qi.alpha, qi.c), verdict,
-        lambda s: secular_derivative(sd, qi.alpha, qi.c, s), cfg,
+        lambda s: secular_derivative(sd, qi.alpha, qi.c, s),
         second=lambda s: secular_second_derivative(sd, qi.alpha, s))
     y = sd.U @ (sd.f_hat / (sd.lambdas + sigma_bar))
     x = qi.to_original(y)
     dv = dual_value(sd, qi.alpha, qi.c, sigma_bar)
-    problem = qi.to_problem()
-    from .primal import eval_primal  # local import avoids cycle at module load
-    pv = eval_primal(problem, y)
+    pv = _primal.eval_primal(qi.to_problem(), y)
     residual = abs(secular_derivative(sd, qi.alpha, qi.c, sigma_bar))
     pair = CriticalPair(
         x=x, zeta=DualPoint(tau=np.zeros(0), sigma=np.array([sigma_bar])),

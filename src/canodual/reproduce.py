@@ -88,7 +88,7 @@ def _reproduce_example1(cfg: SolverConfig) -> Comparison:
 def _reproduce_example2(cfg: SolverConfig) -> Comparison:
     inst = fixtures.example2()
     qi = quartic.QuarticInstance.from_problem(inst)
-    fast = quartic.solve(qi, cfg)
+    fast = quartic.solve(qi)
     best = fast.best
     rows = [
         Row("fast path: sigma", float(best.zeta.sigma[0]),
@@ -114,12 +114,12 @@ def _reproduce_example2(cfg: SolverConfig) -> Comparison:
     return Comparison("benchmark 2 (2-D single quartic)", rows, checks, report)
 
 
-def _reproduce_example3(cfg: SolverConfig, beta: Optional[float]) -> Comparison:
+def _reproduce_example3(beta: Optional[float]) -> Comparison:
     mm = fixtures.example3()
     if beta is not None:
         mm = minimax.MinimaxInstance(A1=mm.A1, A2=mm.A2, f1=mm.f1, f2=mm.f2,
                                      d1=mm.d1, d2=mm.d2, beta=beta)
-    report = minimax.solve(mm, cfg)
+    report = minimax.solve(mm)
     best = report.best
     rows = [Row("global: gap", best.gap, 0.0, 1e-8)]
     checks = [("global: classification GLOBAL_MIN",
@@ -156,5 +156,5 @@ def reproduce_example(example_id: int, beta: Optional[float] = None,
     if example_id == 2:
         return _reproduce_example2(cfg)
     if example_id == 3:
-        return _reproduce_example3(cfg, beta)
+        return _reproduce_example3(beta)
     raise ValueError(f"unknown benchmark id {example_id}; choose 1, 2 or 3")

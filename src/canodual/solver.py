@@ -8,9 +8,9 @@ iterates drifting to the region boundary with a non-vanishing gradient are
 reported as the hard case.
 
 ``find_critical_points`` runs seeded multistart Newton on the dual gradient
-(line search on the squared gradient norm), with all starts in lockstep on
-one array of dual vectors, deduplicates the roots, and classifies every
-resulting primal/dual pair.
+(line search on the squared gradient norm), with the sampled and the
+primal-seeded starts in one lockstep call on one array of dual vectors,
+deduplicates the roots, and classifies every resulting primal/dual pair.
 
 Every dual evaluation inside the solvers goes through one stacked kernel
 (``_evaluate`` and ``_hessians``) on a (k, m) array of flat dual vectors:
@@ -178,11 +178,10 @@ def _dual_value(inst: ProblemInstance, z: np.ndarray, pts: _Points) -> float:
             - _dual.conjugate_quartic(inst, z[inst.p:]))
 
 
-def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float,
-                   ftb: float = 0.995) -> np.ndarray:
+def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float) -> np.ndarray:
     """Per row of ``tau`` (k, p) and step ``dtau``, the largest step keeping
-    each tau_i and the simplex slack above both a (1 - ftb) fraction of their
-    current values and the absolute floor.
+    each tau_i and the simplex slack above both a 1 - 0.995 fraction of their
+    current values (the fraction-to-boundary rule) and the absolute floor.
 
     The floor makes the margin-interior simplex the working domain: roots
     hugging the boundary closer than the margin are outside the search by
@@ -192,7 +191,7 @@ def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float,
         return np.full(len(tau), np.inf)
     value = np.column_stack([tau, 1.0 - tau.sum(axis=1)])
     slope = np.column_stack([dtau, -dtau.sum(axis=1)])
-    allowed = np.maximum(value - np.maximum(floor, (1.0 - ftb) * value), 0.0)
+    allowed = np.maximum(value - np.maximum(floor, (1.0 - 0.995) * value), 0.0)
     cap = np.divide(allowed, -slope, out=np.full(value.shape, np.inf),
                     where=slope < 0.0)
     return cap.min(axis=1)
@@ -251,16 +250,16 @@ def _sample_starts(inst: ProblemInstance, cfg: SolverConfig,
     return np.hstack([tau, sigma])
 
 
-def _primal_seeded_roots(inst: ProblemInstance, cfg: SolverConfig,
-                         rng: np.random.Generator) -> list[np.ndarray]:
-    """Dual starts harvested from primal critical points.
+def _primal_seeded_starts(inst: ProblemInstance, cfg: SolverConfig,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Rows of dual starts harvested from primal critical points.
 
     Primal critical points and dual critical points are in bijection
     through the constitutive map wherever G is nonsingular, and the primal
     basins (especially of local minima, which pair with dual saddles) are
     far larger than the thin dual merit basins near singular points. A
-    short Newton root find on the primal gradient followed by one lockstep
-    dual polish of all harvested starts recovers those roots cheaply.
+    short Newton root find on the primal gradient gives starts that the
+    dual Newton search then polishes cheaply.
     """
     duality_map = _primal.duality_map
     grad_primal = _primal.grad_primal
@@ -303,8 +302,7 @@ def _primal_seeded_roots(inst: ProblemInstance, cfg: SolverConfig,
         zeta0 = duality_map(inst, x)
         if zeta0.tau_interior(BOUNDARY_MARGIN):
             starts.append(zeta0.vector())
-    Z, _, ok = _newton_roots(inst, np.reshape(starts, (-1, inst.m)), cfg)
-    return list(Z[ok])
+    return np.reshape(starts, (-1, inst.m))
 
 
 def _univariate_scan_values(inst: ProblemInstance, grid: np.ndarray) -> np.ndarray:
@@ -394,7 +392,9 @@ def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
 def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _Points,
                    cfg: SolverConfig):
     """Damped Newton maximization of the dual inside the positive region,
-    from z with its one-row evaluation ``pts``.
+    from z with its one-row evaluation ``pts``. A positive-definite trial is
+    accepted on a rise of the dual value or, as near the root that rise is
+    below the value's rounding, on the merit test of :func:`_newton_roots`.
 
     Returns (z, pts, iterations, converged) at the last accepted point.
     """
@@ -413,12 +413,14 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _Points,
             step = g.copy()
         t = min(1.0, _tau_step_caps(z[None, :p], step[None, :p], BOUNDARY_MARGIN)[0])
         slope = float(g @ step)
+        merit = _half_sq_norms(pts.grad)[0]
         while t > 1e-16:
             trial = z + t * step
             trial_pts = _positive_point(inst, trial)
             if trial_pts is not None:
                 trial_value = _dual_value(inst, trial, trial_pts)
-                if trial_value >= value + 1e-4 * t * slope:
+                if (trial_value >= value + 1e-4 * t * slope or
+                        _half_sq_norms(trial_pts.grad)[0] <= merit * (1.0 - 2e-4 * t)):
                     break
             t *= 0.5
         else:
@@ -527,10 +529,10 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
     return Z, iters, converged
 
 
-def _dedup(points: Iterable[np.ndarray], rel: float = 1e-6) -> list[np.ndarray]:
+def _dedup(points: Iterable[np.ndarray]) -> list[np.ndarray]:
     unique: list[np.ndarray] = []
     for z in points:
-        if not any(np.max(np.abs(z - u), initial=0.0) <= rel * (1.0 + float(np.linalg.norm(u)))
+        if not any(np.max(np.abs(z - u), initial=0.0) <= 1e-6 * (1.0 + float(np.linalg.norm(u)))
                    for u in unique):
             unique.append(z)
     return unique
@@ -690,12 +692,13 @@ def find_critical_points(inst: ProblemInstance,
             "non-global pairs assume a convex measure range, which is not verified",
             RuntimeWarning, stacklevel=2)
     rng = np.random.default_rng(cfg.seed)
-    Z, iters, converged = _newton_roots(inst, _sample_starts(inst, cfg, rng), cfg)
+    Z, iters, converged = _newton_roots(inst, np.vstack(
+        [_sample_starts(inst, cfg, rng), _primal_seeded_starts(inst, cfg, rng)]), cfg)
     roots = list(Z[converged])
-    total_iters = int(iters.sum())
-    converged_starts = int(converged.sum())
-    roots.extend(_primal_seeded_roots(inst, cfg, rng))
     roots.extend(_univariate_roots(inst, cfg))
+    # the report counts the sampled starts; the primal-seeded ones follow them
+    total_iters = int(iters[:cfg.num_starts].sum())
+    converged_starts = int(converged[:cfg.num_starts].sum())
     pairs = []
     for z in _dedup(roots):
         pair = make_pair(inst, DualPoint.from_vector(z, inst.p))

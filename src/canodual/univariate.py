@@ -20,7 +20,7 @@ spectral data decides up front whether it does.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,14 +34,12 @@ from .errors import (
 )
 from .model import ExistenceVerdict, SpectralData
 
-if TYPE_CHECKING:
-    from .solver import SolverConfig
-
 HEAD_COMPONENT_RTOL = 1e-12
 POLE_TOL = 1e-14
 REACH = 1e-13          # bracketing gives up this close (relatively) to an end,
 REACH_FINITE_LEFT = 1e-14  # or to the left end of a finite interval (of its width)
 SCAN_POINTS = 2048
+MAX_ITER = 200         # refinement cap of the fast paths' root searches
 
 
 class Conjugate(NamedTuple):
@@ -205,7 +203,7 @@ def _approach(fn, end: float, step: float, direction: float, floor: float):
 
 
 def decreasing_root(fn, lo: float, hi: float, step: float, tol: float,
-                    max_iter: int, fprime=None) -> Optional[tuple[float, int]]:
+                    fprime=None) -> Optional[tuple[float, int]]:
     """Root of fn, strictly decreasing on (lo, hi); hi may be inf.
 
     Both ends are approached by shrinking offsets (:func:`_approach`), so
@@ -234,12 +232,12 @@ def decreasing_root(fn, lo: float, hi: float, step: float, tol: float,
             t = lo + 2.0 * (t - lo)
     if b is None:
         return None
-    root, _, iters = refine(fn, a, b, fa, tol, max_iter, fprime=fprime)
+    root, _, iters = refine(fn, a, b, fa, tol, MAX_ITER, fprime=fprime)
     return root, iters
 
 
 def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
-             deriv, cfg: SolverConfig, second=None) -> tuple[float, int]:
+             deriv, second=None) -> tuple[float, int]:
     """Maximiser of D over the positive region and the iterations spent.
 
     ``verdict`` is the :func:`existence` verdict and ``deriv`` evaluates D'
@@ -269,7 +267,7 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
     else:
         step, floor = max(0.1 * scale, 1.0), 1e-14 * scale
     found = decreasing_root(deriv, lo, conj.hi, step, tol=max(GRAD_TOL, floor),
-                            max_iter=cfg.max_iter, fprime=second)
+                            fprime=second)
     if found is None:
         raise NoDualCriticalPointError(
             "existence predicted a positive-region critical point but "
@@ -277,8 +275,7 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
     return found
 
 
-def critical_points(sd: SpectralData, conj: Conjugate,
-                    cfg: SolverConfig) -> list[float]:
+def critical_points(sd: SpectralData, conj: Conjugate) -> list[float]:
     """All roots of D' on a bounded domain minus the poles, found by a
     sign-change scan of each pole-free interval (a boundary margin kept)."""
     poles = sorted({float(-lam) for lam in sd.lambdas if conj.lo < -lam < conj.hi})
@@ -295,7 +292,7 @@ def critical_points(sd: SpectralData, conj: Conjugate,
         vals = deriv(grid)
         for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
             roots.append(refine(deriv, float(grid[i]), float(grid[i + 1]), float(vals[i]),
-                                GRAD_TOL, cfg.max_iter)[0])
+                                GRAD_TOL, MAX_ITER)[0])
         for endpoint, v in ((lo, vals[0]), (hi, vals[-1])):
             if abs(v) <= GRAD_TOL:
                 roots.append(float(endpoint))

@@ -126,6 +126,19 @@ class TestCheckExistence:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "UNBOUNDED"
 
+    def test_smoothed_not_exists_reports_the_boundary_lhs(self, tmp_path, capsys):
+        inst = validate(ProblemInstance(
+            A=np.diag([-0.5, 1.0]), f=[0.0, 0.3],
+            lse_terms=(LseTerm(Q=np.eye(2), d=-1.0),), beta=2.0))
+        path = tmp_path / "not_exists.json"
+        path.write_text(serialize_problem(inst))
+        code = main(["check-existence", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "NOT_EXISTS"
+        # 1/2 tail^2/gap^2 - V*'(1/2) = 1/2 0.09/1.5^2 - (0 - d)
+        assert lines[3].startswith("boundary inequality left-hand side: -0.98 ")
+
     def test_shape_mismatch(self, ex1_path, capsys):
         code = main(["check-existence", ex1_path])
         assert code == 1

@@ -72,6 +72,17 @@ class TestSolveGlobal:
         rep = solve_global(fixtures.example1())
         assert rep.residual_norm <= GRAD_TOL
 
+    @pytest.mark.parametrize("n,p,r,seed", [(1, 0, 2, 15), (2, 0, 1, 4),
+                                            (2, 1, 1, 2), (3, 0, 1, 0)])
+    def test_certifies_when_the_value_stops_resolving_the_ascent(self, n, p, r, seed):
+        # near the root the Armijo rise of the dual value falls below its
+        # rounding; the ascent must still converge instead of stalling
+        inst = rand_instance(np.random.default_rng(seed), n, p, r, spd_quartic=True)
+        rep = solve_global(inst)
+        _, v_star = grid_global_min(inst, (-6.0, 6.0), 601 if n <= 2 else 121)
+        assert rep.best.classification == Classification.GLOBAL_MIN
+        assert rep.best.primal_value == pytest.approx(v_star, abs=1e-8)
+
 
 class TestFindCriticalPoints:
     def test_benchmark1_all_three(self):
