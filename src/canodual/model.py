@@ -164,6 +164,21 @@ class ProblemInstance:
             G += np.tensordot(np.asarray(sigma, dtype=float), self.B_stack, axes=1)
         return G
 
+    def curvatures(self, Z: np.ndarray) -> np.ndarray:
+        """G(zeta) for every row (tau, sigma) of Z (k, m), as a (k, n, n) stack.
+
+        The blocks are summed as :meth:`curvature` sums them, and each block
+        product is a stacked matmul: that rounds exactly like the tensordot of
+        a single point, where a 2-D dot over all rows does not.
+        """
+        k, n, p = len(Z), self.n, self.p
+        G = self.A
+        if p:
+            G = G + (Z[:, None, :p] @ self.Q_stack.reshape(p, n * n)).reshape(k, n, n)
+        if self.r:
+            G = G + (Z[:, None, p:] @ self.B_stack.reshape(self.r, n * n)).reshape(k, n, n)
+        return G
+
     def allclose(self, other: "ProblemInstance", tol: float = 1e-15) -> bool:
         if (self.n, self.p, self.r) != (other.n, other.p, other.r):
             return False

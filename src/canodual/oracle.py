@@ -98,6 +98,13 @@ def _box_edges(box: BoxLike, n: int) -> list[tuple[float, float]]:
     return [(float(lo), float(hi)) for lo, hi in box]
 
 
+def check_grid_dimension(n: int) -> None:
+    """Raise :class:`DimensionTooLargeError` when the grid cannot cover n
+    dimensions."""
+    if n > MAX_GRID_DIM:
+        raise DimensionTooLargeError(f"grid oracle supports n <= {MAX_GRID_DIM}", n=n)
+
+
 def grid_global_min(inst: ProblemInstance, box: BoxLike,
                     resolution: int = 601) -> tuple[np.ndarray, float]:
     """Best grid node in the box, polished; deterministic.
@@ -107,8 +114,7 @@ def grid_global_min(inst: ProblemInstance, box: BoxLike,
     above the best raw node value.
     """
     n = inst.n
-    if n > MAX_GRID_DIM:
-        raise DimensionTooLargeError("grid oracle supports n <= 3", n=n)
+    check_grid_dimension(n)
     if not (2 <= resolution <= MAX_RESOLUTION):
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}]")
     axes = [np.linspace(lo, hi, resolution) for lo, hi in _box_edges(box, n)]

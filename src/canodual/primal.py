@@ -25,28 +25,71 @@ class CanonicalMeasure:
     eta: np.ndarray
 
 
+def _one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def _rows(x) -> tuple[np.ndarray, bool]:
+    """(X, one): a 2-D input is a (k, n) stack of points; anything else is
+    one point, raveled into a one-row stack."""
+    X = np.asarray(x, dtype=float)
+    return (X, False) if X.ndim == 2 else (X.reshape(1, -1), True)
+
+
+def measures(inst: ProblemInstance, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure gradients and measures at every row x of X (k, n): the
+    (k, m, n) stack of rows Q_1 x, ..., Q_p x, B_1 x, ..., B_r x and the
+    (k, m) values (xi, eta). Each block rounds as one point's
+    ``0.5 * (Q_stack @ x) @ x``."""
+    col = X[..., None]
+    Sx = [(S @ col[:, None])[..., 0] for S in (inst.Q_stack, inst.B_stack) if len(S)]
+    values = [((0.5 * rows) @ col)[..., 0] for rows in Sx]
+    if len(Sx) == 1:
+        return Sx[0], values[0]
+    return np.concatenate(Sx, axis=1), np.concatenate(values, axis=1)
+
+
 def canonical_measure(inst: ProblemInstance, x: np.ndarray) -> CanonicalMeasure:
-    x = np.asarray(x, dtype=float).ravel()
-    xi = 0.5 * (inst.Q_stack @ x) @ x if inst.p else np.zeros(0)
-    eta = 0.5 * (inst.B_stack @ x) @ x if inst.r else np.zeros(0)
-    return CanonicalMeasure(xi=xi, eta=eta)
+    values = measures(inst, _one_row(x))[1][0]
+    return CanonicalMeasure(xi=values[:inst.p], eta=values[inst.p:])
 
 
 def _shifted_exponentials(inst: ProblemInstance, xi: np.ndarray):
-    """Return (shift, exp(-shift), exp(a - shift)) for a = beta (xi + d).
+    """Return (shift, exp(-shift), exp(a - shift)) for a = beta (xi + d),
+    over the last axis of xi; shift and exp(-shift) keep that axis.
 
     shift = max(0, max_i a_i), so every exponential is <= 1.
     """
     a = inst.beta * (xi + inst.d)
-    s = max(0.0, float(a.max())) if a.size else 0.0
+    s = a.max(axis=-1, initial=0.0, keepdims=True)
     return s, np.exp(-s), np.exp(a - s)
+
+
+def _constitutive(inst: ProblemInstance, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(x) at every row of X (k, n) as a flat (k, m) array, with the
+    measure gradients of :func:`measures`.
+
+    tau is the softmax weight of each log-sum-exp exponent against the
+    implicit unit term (from the same shifted exponentials as
+    :func:`eval_lse`, so the two agree to machine precision);
+    sigma_i = alpha_i (eta_i + c_i).
+    """
+    p = inst.p
+    Mx, values = measures(inst, X)
+    parts = []
+    if p:
+        _, e0, ea = _shifted_exponentials(inst, values[:, :p])
+        parts.append(ea / (e0 + ea.sum(axis=1, keepdims=True)))
+    if inst.r:
+        parts.append(inst.alpha * (values[:, p:] + inst.c))
+    return (parts[0] if len(parts) == 1 else np.hstack(parts)), Mx
 
 
 def eval_lse(inst: ProblemInstance, x: np.ndarray) -> float:
     """Smoothed max term (1/beta) log[1 + sum_i exp(beta (xi_i + d_i))]."""
     xi = canonical_measure(inst, x).xi
     s, e0, ea = _shifted_exponentials(inst, xi)
-    return (s + np.log(e0 + ea.sum())) / inst.beta
+    return float((s[0] + np.log(e0[0] + ea.sum())) / inst.beta)
 
 
 def eval_quartic(inst: ProblemInstance, x: np.ndarray) -> float:
@@ -62,61 +105,64 @@ def eval_primal(inst: ProblemInstance, x: np.ndarray) -> float:
 
 
 def duality_map(inst: ProblemInstance, x: np.ndarray) -> DualPoint:
-    """Constitutive dual point zeta(x).
+    """Constitutive dual point zeta(x) of one point x."""
+    return DualPoint.from_vector(_constitutive(inst, _one_row(x))[0][0], inst.p)
 
-    tau is the softmax weight of each log-sum-exp exponent against the
-    implicit unit term (computed from the same shifted exponentials as
-    :func:`eval_lse`, so the two agree to machine precision);
-    sigma_i = alpha_i (eta_i + c_i).
-    """
-    cm = canonical_measure(inst, x)
-    s, e0, ea = _shifted_exponentials(inst, cm.xi)
-    tau = ea / (e0 + ea.sum()) if inst.p else np.zeros(0)
-    sigma = inst.alpha * (cm.eta + inst.c) if inst.r else np.zeros(0)
-    return DualPoint(tau=tau, sigma=sigma)
+
+def jacobians(inst: ProblemInstance, Mx: np.ndarray) -> np.ndarray:
+    """The (k, n, m) stack of n x m matrices whose columns are the rows of
+    Mx (k, m, n), each laid out as :func:`measure_jacobian` always laid one
+    out: column-major, except when it stacks two single columns. The dual
+    Hessian's F' G^{-1} F has rounded by that layout at n >= 16."""
+    F = Mx.transpose(0, 2, 1)
+    return np.ascontiguousarray(F) if inst.p == 1 and inst.r == 1 else F
 
 
 def measure_jacobian(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """n x m matrix whose columns are the measure gradients
     Q_1 x, ..., Q_p x, B_1 x, ..., B_r x."""
-    x = np.asarray(x, dtype=float).ravel()
-    cols = []
-    if inst.p:
-        cols.append((inst.Q_stack @ x).T)
-    if inst.r:
-        cols.append((inst.B_stack @ x).T)
-    if not cols:
-        return np.zeros((inst.n, 0))
-    return np.column_stack(cols) if len(cols) > 1 else cols[0]
+    return jacobians(inst, measures(inst, _one_row(x))[0])[0]
 
 
 def weight_hessian(inst: ProblemInstance, tau: np.ndarray) -> np.ndarray:
     """Block-diagonal curvature of the canonical potential at the measure:
     beta (diag(tau) - tau tau') on the log-sum-exp block, diag(alpha) on the
-    quartic block."""
-    m = inst.m
-    D = np.zeros((m, m))
-    p = inst.p
+    quartic block. An m x m matrix for one tau (p,), a (k, m, m) stack for a
+    stack of weights (k, p)."""
+    one = np.ndim(tau) < 2
+    T = np.atleast_2d(np.asarray(tau, dtype=float))
+    m, p = inst.m, inst.p
+    D = np.zeros((len(T), m, m))
     if p:
-        D[:p, :p] = inst.beta * (np.diag(tau) - np.outer(tau, tau))
+        diag = np.zeros((len(T), p, p))
+        diag[:, np.arange(p), np.arange(p)] = T
+        D[:, :p, :p] = inst.beta * (diag - T[:, :, None] * T[:, None, :])
     if inst.r:
-        D[p:, p:] = np.diag(inst.alpha)
-    return D
+        D[:, p:, p:] = np.diag(inst.alpha)
+    return D[0] if one else D
 
 
 def grad_primal(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Gradient G(zeta(x)) x - f with the constitutive zeta(x)."""
-    x = np.asarray(x, dtype=float).ravel()
-    z = duality_map(inst, x)
-    return inst.curvature(z.tau, z.sigma) @ x - inst.f
+    """Gradient G(zeta(x)) x - f with the constitutive zeta(x).
+
+    An n-vector at one point x (n,); a (k, n) stack at a stack of points
+    X (k, n), each row rounded as the point alone.
+    """
+    X, one = _rows(x)
+    Z, _ = _constitutive(inst, X)
+    g = (inst.curvatures(Z) @ X[..., None])[..., 0] - inst.f
+    return g[0] if one else g
 
 
 def hess_primal(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Hessian G(zeta(x)) + F D F' (symmetric by construction)."""
-    x = np.asarray(x, dtype=float).ravel()
-    z = duality_map(inst, x)
-    G = inst.curvature(z.tau, z.sigma)
-    F = measure_jacobian(inst, x)
-    D = weight_hessian(inst, z.tau)
-    H = G + F @ D @ F.T
-    return 0.5 * (H + H.T)
+    """Hessian G(zeta(x)) + F D F' (symmetric by construction).
+
+    An n x n matrix at one point x (n,); a (k, n, n) stack at a stack of
+    points X (k, n), each rounded as the point alone.
+    """
+    X, one = _rows(x)
+    Z, Mx = _constitutive(inst, X)
+    F = jacobians(inst, Mx)
+    H = inst.curvatures(Z) + F @ weight_hessian(inst, Z[:, :inst.p]) @ F.transpose(0, 2, 1)
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    return H[0] if one else H

@@ -11,13 +11,17 @@ reported as the hard case.
 (line search on the squared gradient norm), with the sampled and the
 primal-seeded starts in one lockstep call on one array of dual vectors,
 deduplicates the roots, and classifies every resulting primal/dual pair.
+The primal-seeded starts come from a primal Newton search that also runs
+in lockstep, on one (k, n) array of points, through the row-stacked
+``primal.grad_primal`` and ``primal.hess_primal``.
 
 Every dual evaluation inside the solvers goes through one stacked kernel
 (``_evaluate`` and ``_hessians``) on a (k, m) array of flat dual vectors:
 the lockstep multistart, the ascent and its interior start (one row at a
 time), and the refinement of the m = 1 scan. Only ``make_pair`` and
 ``triality_classify``, at the API edge, evaluate a ``DualPoint`` through
-the per-point functions of ``dual``.
+the per-point functions of ``dual``. In both lockstep searches no start
+reads another's data, so each ends bitwise as it would alone.
 
 Classification semantics at a dual critical point zeta with recovered x:
 
@@ -82,22 +86,6 @@ class _Points(NamedTuple):
     Mx: np.ndarray     # (k, m, n): rows Q_1 x, ..., B_r x at x = G^{-1} f
 
 
-def _curvatures(inst: ProblemInstance, Z: np.ndarray) -> np.ndarray:
-    """G(zeta) for every row of Z, as a (k, n, n) stack.
-
-    The blocks are summed as ``inst.curvature`` sums them, and each block
-    product is a stacked matmul: that rounds exactly like the tensordot of a
-    single point, where a 2-D dot over all rows does not.
-    """
-    k, n, p = len(Z), inst.n, inst.p
-    G = inst.A
-    if p:
-        G = G + (Z[:, None, :p] @ inst.Q_stack.reshape(p, n * n)).reshape(k, n, n)
-    if inst.r:
-        G = G + (Z[:, None, p:] @ inst.B_stack.reshape(inst.r, n * n)).reshape(k, n, n)
-    return G
-
-
 def _evaluate(inst: ProblemInstance, Z: np.ndarray) -> _Points:
     """Dual gradient at every row of Z with one stacked ``eigh``.
 
@@ -115,27 +103,20 @@ def _evaluate(inst: ProblemInstance, Z: np.ndarray) -> _Points:
         rows = rows[(tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)]
     if rows.size == 0:
         return pts
-    G = _curvatures(inst, Z[rows])
+    G = inst.curvatures(Z[rows])
     w, U = np.linalg.eigh(G)
     tol = _dual.SING_TOL * (1.0 + np.abs(G).max(axis=(1, 2)))
     nonsingular = ~(np.abs(w).min(axis=1) <= tol)  # NaN passes, as in dual.assemble
     rows, w, U = rows[nonsingular], w[nonsingular], U[nonsingular]
     x = (U @ ((U.transpose(0, 2, 1) @ inst.f) / w)[..., None])[..., 0]
     z = Z[rows]
-    blocks, grads = [], []
+    Mx, grad = _primal.measures(inst, x)  # (xi, eta), then the gradient
     if p:
-        Qx = (inst.Q_stack @ x[:, None, :, None])[..., 0]
-        xi = ((0.5 * Qx) @ x[..., None])[..., 0]
         slack = 1.0 - z[:, :p].sum(axis=1)
-        blocks.append(Qx)
-        grads.append(xi + inst.d - np.log(z[:, :p] / slack[:, None]) / inst.beta)
+        grad[:, :p] = grad[:, :p] + inst.d - np.log(z[:, :p] / slack[:, None]) / inst.beta
     if inst.r:
-        Bx = (inst.B_stack @ x[:, None, :, None])[..., 0]
-        eta = ((0.5 * Bx) @ x[..., None])[..., 0]
-        blocks.append(Bx)
-        grads.append(eta + inst.c - z[:, p:] / inst.alpha)
-    for mine, value in zip(pts, (True, np.hstack(grads), U, w,
-                                 np.concatenate(blocks, axis=1))):
+        grad[:, p:] = grad[:, p:] + inst.c - z[:, p:] / inst.alpha
+    for mine, value in zip(pts, (True, grad, U, w, Mx)):
         mine[rows] = value
     return pts
 
@@ -144,11 +125,7 @@ def _hessians(inst: ProblemInstance, tau: np.ndarray, pts: _Points) -> np.ndarra
     """Dual Hessians -F' G^{-1} F - D^{-1} at the valid points ``pts`` with
     simplex weights ``tau`` (k, p), computed as ``dual.hess_dual`` does."""
     k, m, p = len(tau), inst.m, inst.p
-    F = pts.Mx.transpose(0, 2, 1)
-    if p == 1 and inst.r == 1:
-        # the layout dual.measure_jacobian builds: column-major, except when
-        # it stacks two single columns; the product F'G^{-1}F rounds by it
-        F = np.ascontiguousarray(F)
+    F = _primal.jacobians(inst, pts.Mx)
     GinvF = pts.U @ ((pts.U.transpose(0, 2, 1) @ F) / pts.w[:, :, None])
     Dinv = np.zeros((k, m, m))
     if p:
@@ -261,48 +238,12 @@ def _primal_seeded_starts(inst: ProblemInstance, cfg: SolverConfig,
     short Newton root find on the primal gradient gives starts that the
     dual Newton search then polishes cheaply.
     """
-    duality_map = _primal.duality_map
-    grad_primal = _primal.grad_primal
-    hess_primal = _primal.hess_primal
-    spread = 2.5 * (1.0 + float(np.max(np.abs(inst.f), initial=0.0)))
-    starts: list[np.ndarray] = []
     fscale = 1.0 + float(np.max(np.abs(inst.f), initial=0.0))
-    for _ in range(max(2, cfg.num_starts // 8)):
-        x = rng.standard_normal(inst.n) * spread
-        converged = False
-        for _ in range(40):
-            g = grad_primal(inst, x)
-            ginf = float(np.max(np.abs(g)))
-            if not np.isfinite(ginf):
-                break
-            if ginf <= 1e-8 * fscale:
-                converged = True
-                break
-            H = hess_primal(inst, x)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step = -g
-            if not np.all(np.isfinite(step)):
-                step = -g
-            merit = float(g @ g)
-            t = 1.0
-            moved = False
-            while t > 1e-14:
-                x_t = x + t * step
-                g_t = grad_primal(inst, x_t)
-                if np.all(np.isfinite(g_t)) and float(g_t @ g_t) <= merit * (1.0 - 1e-4 * t):
-                    x, moved = x_t, True
-                    break
-                t *= 0.5
-            if not moved:
-                break
-        if not converged:
-            continue
-        zeta0 = duality_map(inst, x)
-        if zeta0.tau_interior(BOUNDARY_MARGIN):
-            starts.append(zeta0.vector())
-    return np.reshape(starts, (-1, inst.m))
+    X0 = rng.standard_normal((max(2, cfg.num_starts // 8), inst.n)) * (2.5 * fscale)
+    X, converged = _primal_roots(inst, X0, 1e-8 * fscale)
+    starts = [_primal.duality_map(inst, x) for x in X[converged]]
+    return np.reshape([z.vector() for z in starts if z.tau_interior(BOUNDARY_MARGIN)],
+                      (-1, inst.m))
 
 
 def _univariate_scan_values(inst: ProblemInstance, grid: np.ndarray) -> np.ndarray:
@@ -436,15 +377,7 @@ def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _Points):
     points where that descent direction is zero."""
     J = _hessians(inst, tau, pts)
     g = pts.grad
-    try:
-        steps = np.linalg.solve(J, -g[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # one singular J fails the whole stack
-        steps = np.full_like(g, np.nan)
-        for i in range(len(g)):
-            try:
-                steps[i] = np.linalg.solve(J[i:i + 1], -g[i:i + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                pass
+    steps = _solve_rows(J, -g)
     flat = np.zeros(len(g), dtype=bool)
     descent = ~np.all(np.isfinite(steps), axis=1)
     if descent.any():
@@ -455,6 +388,21 @@ def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _Points):
     return steps, flat
 
 
+def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution of J[i] s = b[i] for every row of b (k, n), rounded as the
+    solve of one point; NaN where LAPACK finds J[i] singular."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular J fails the whole stack
+        out = np.full_like(b, np.nan)
+        for i in range(len(b)):
+            try:
+                out[i] = np.linalg.solve(J[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _half_sq_norms(g: np.ndarray) -> np.ndarray:
     """1/2 g'g per row, rounded as the 1-D ``g @ g`` of one point is."""
     return 0.5 * (g[:, None, :] @ g[:, :, None])[:, 0, 0]
@@ -463,6 +411,38 @@ def _half_sq_norms(g: np.ndarray) -> np.ndarray:
 # After a start rejects its first trial step, it tries this many further
 # halvings of the step per round.
 _HALVINGS_PER_ROUND = 8
+
+
+def _trial_round(running: np.ndarray, tried: np.ndarray, t0: np.ndarray,
+                 floor: float):
+    """The trial steps of one line-search round of a lockstep search.
+
+    A running start that has tried nothing yet tries its first step t0
+    alone; the others try their next ``_HALVINGS_PER_ROUND`` halvings of
+    it. A start whose next trial is at most ``floor`` has exhausted its
+    backtracking and stops running. Advances ``tried`` (halvings of t0
+    tried per start) and returns (owner, t): the start and step length of
+    every trial, grouped by start in halving order.
+    """
+    L = running.nonzero()[0]
+    batch = np.where(tried[L] == 0, 1, _HALVINGS_PER_ROUND)
+    owner = L.repeat(batch)
+    lead = batch.cumsum() - batch  # each start's first trial
+    t = t0[owner] * 0.5 ** (tried[owner] + np.arange(owner.size) - lead.repeat(batch))
+    live = t > floor
+    running[L[~live[lead]]] = False
+    tried[L] += batch
+    return owner[live], t[live]
+
+
+def _first_acceptable(owner: np.ndarray, ok: np.ndarray):
+    """(start, trial index) of the first acceptable trial of each start,
+    for trials grouped by start in halving order."""
+    first = ok.nonzero()[0]
+    lowest = np.ones(first.size, dtype=bool)
+    lowest[1:] = owner[first[1:]] != owner[first[:-1]]
+    first = first[lowest]
+    return owner[first], first
 
 
 def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
@@ -503,30 +483,77 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
             t0[S] = np.minimum(1.0, _tau_step_caps(Z[S, :p], dz[:, :p], BOUNDARY_MARGIN))
             tried[S] = 0
             merit[S] = _half_sq_norms(pts.grad[S])
-        # the pending trials: t0 alone first, then a batch of halvings
-        L = np.flatnonzero(running)
-        batch = np.where(tried[L] == 0, 1, _HALVINGS_PER_ROUND)
-        owner = np.repeat(L, batch)
-        lead = np.cumsum(batch) - batch  # each start's first trial
-        t = t0[owner] * 0.5 ** (tried[owner] + np.arange(owner.size) - np.repeat(lead, batch))
-        live = t > 1e-16
-        running[L[~live[lead]]] = False  # backtracking exhausted
-        owner, t = owner[live], t[live]
-        tried[L] += batch
+        owner, t = _trial_round(running, tried, t0, 1e-16)
         Zt = Z[owner] + t[:, None] * step[owner]
         trial = _evaluate(inst, Zt)
         ok = trial.valid & np.all(np.isfinite(trial.grad), axis=1)
         ok[ok] = _half_sq_norms(trial.grad[ok]) <= merit[owner[ok]] * (1.0 - 2e-4 * t[ok])
-        first = np.flatnonzero(ok)
-        lowest = np.ones(first.size, dtype=bool)  # the first acceptable t of its start
-        lowest[1:] = owner[first[1:]] != owner[first[:-1]]
-        first = first[lowest]
-        accepted = owner[first]
+        accepted, first = _first_acceptable(owner, ok)
         Z[accepted] = Zt[first]
         for mine, theirs in zip(pts, trial):
             mine[accepted] = theirs[first]
         fresh[accepted] = True
     return Z, iters, converged
+
+
+# Newton steps of each primal-seeded start
+_PRIMAL_ITERATIONS = 40
+
+
+def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
+    """Newton iteration on the primal gradient with backtracking on its
+    squared norm, run in lockstep from every row of X0 (k, n).
+
+    Returns (X, converged), one row or entry per start. A start converges
+    when ||grad||_inf <= tol within ``_PRIMAL_ITERATIONS`` steps; it stops
+    unconverged at a non-finite gradient or when no step down to t = 1e-14
+    decreases the merit. The Newton step falls back to -grad where the
+    Hessian solve fails or is not finite. Each round evaluates the pending
+    trial points of all starts with one stacked gradient, in the rounds of
+    :func:`_newton_roots`, and carries the accepted trial's gradient to the
+    next step; no start reads another's data, so every row ends exactly as
+    it would alone.
+    """
+    X = np.array(X0, dtype=float)
+    k = len(X)
+    iters = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    g = _primal.grad_primal(inst, X)
+    running = np.ones(k, dtype=bool)
+    fresh = running.copy()          # at a new point, due for a Newton step
+    step = np.zeros_like(X)
+    t0 = np.ones(k)                 # first trial step length
+    tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
+    merit = np.zeros(k)
+    while running.any():
+        S = fresh.nonzero()[0]
+        if S.size:
+            fresh[S] = False
+            iters[S] += 1
+            gS = g[S]
+            ginf = np.abs(gS).max(axis=1)
+            capped = iters[S] > _PRIMAL_ITERATIONS
+            converged[S] = ~capped & (ginf <= tol)
+            more = ~(capped | ~np.isfinite(ginf) | converged[S])
+            running[S] = more
+            S, gS = S[more], gS[more]
+            if S.size:
+                dx = _solve_rows(_primal.hess_primal(inst, X[S]), -gS)
+                descent = ~np.isfinite(dx).all(axis=1)
+                dx[descent] = -gS[descent]
+                step[S] = dx
+                tried[S] = 0
+                merit[S] = _half_sq_norms(gS)
+        owner, t = _trial_round(running, tried, t0, 1e-14)
+        Xt = X[owner] + t[:, None] * step[owner]
+        gt = _primal.grad_primal(inst, Xt)
+        ok = np.isfinite(gt).all(axis=1)
+        ok[ok] = _half_sq_norms(gt[ok]) <= merit[owner[ok]] * (1.0 - 1e-4 * t[ok])
+        accepted, first = _first_acceptable(owner, ok)
+        X[accepted] = Xt[first]
+        g[accepted] = gt[first]
+        fresh[accepted] = True
+    return X, converged
 
 
 def _dedup(points: Iterable[np.ndarray]) -> list[np.ndarray]:

@@ -5,6 +5,7 @@ import pytest
 
 from canodual import fixtures
 from canodual.cli import main
+from canodual.errors import HardCaseError
 from canodual.minimax import smooth_and_canonicalize
 from canodual.model import (
     LseTerm,
@@ -13,6 +14,9 @@ from canodual.model import (
     serialize_problem,
     validate,
 )
+from canodual.solver import solve_global
+
+from conftest import rand_instance
 
 
 @pytest.fixture
@@ -177,6 +181,30 @@ class TestOracleCompare:
         code = main(["oracle-compare", str(path)])
         assert code == 1
         assert "DIMENSION_TOO_LARGE" in capsys.readouterr().err
+
+    def test_dimension_is_checked_before_the_solve(self, tmp_path, capsys):
+        # solve_global raises HardCaseError on this instance: an input error
+        # must still exit 1, not as a limit of the method
+        inst = rand_instance(np.random.default_rng(0), n=4, p=0, r=1)
+        with pytest.raises(HardCaseError):
+            solve_global(inst)
+        path = tmp_path / "n4.json"
+        path.write_text(serialize_problem(inst))
+        assert main(["oracle-compare", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error [DIMENSION_TOO_LARGE]" in err
+        assert "NO_SA_PLUS_CRITICAL_POINT" not in err
+
+    def test_minimiser_outside_the_box_is_inconclusive(self, tmp_path, capsys):
+        # double well at |x| = 10, outside the oracle's box (-6, 6)
+        inst = validate(ProblemInstance(
+            A=[[0.0]], f=[0.5],
+            quartic_terms=(QuarticTerm(B=[[1.0]], c=-50.0, alpha=1.0),)))
+        assert abs(solve_global(inst).best.x[0]) > 6.0
+        path = tmp_path / "far.json"
+        path.write_text(serialize_problem(inst))
+        assert main(["oracle-compare", str(path)]) == 2
+        assert "inconclusive" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("beta", ["-1", "0", "nan"])

@@ -191,3 +191,47 @@ class TestDerivatives:
         x = rng.standard_normal(4)
         H = hess_primal(inst, x)
         assert np.max(np.abs(H - H.T)) == 0.0
+
+
+def _pointwise_derivatives(inst, x):
+    """zeta(x), gradient and Hessian of one point by the one-point formulas: the
+    softmax of the shifted exponentials, G summed by tensordot and F
+    column-stacked from the measure gradients."""
+    p = inst.p
+    xi = 0.5 * (inst.Q_stack @ x) @ x
+    eta = 0.5 * (inst.B_stack @ x) @ x
+    tau = np.zeros(0)
+    if p:
+        a = inst.beta * (xi + inst.d)
+        shift = max(0.0, float(a.max()))
+        ea = np.exp(a - shift)
+        tau = ea / (np.exp(-shift) + ea.sum())
+    sigma = inst.alpha * (eta + inst.c)
+    G = inst.curvature(tau, sigma)
+    cols = [(S @ x).T for S in (inst.Q_stack, inst.B_stack) if len(S)]
+    F = np.column_stack(cols) if len(cols) > 1 else cols[0]
+    D = np.zeros((inst.m, inst.m))
+    D[:p, :p] = inst.beta * (np.diag(tau) - np.outer(tau, tau))
+    D[p:, p:] = np.diag(inst.alpha)
+    H = G + F @ D @ F.T
+    return np.concatenate([tau, sigma]), G @ x - inst.f, 0.5 * (H + H.T)
+
+
+class TestStacks:
+    def test_stacked_derivatives_match_pointwise(self):
+        # bit for bit, so the lockstep harvest takes the serial decisions;
+        # n = 16 with p = r = 1 is where the dual Hessian has rounded by the
+        # memory layout of F
+        rng = np.random.default_rng(16)
+        shapes = [(n, p, m - p) for n in (1, 2, 3, 4) for m in (1, 2, 3)
+                  for p in range(m + 1)] + [(16, 1, 1), (16, 2, 1), (16, 0, 2)]
+        for n, p, r in shapes:
+            inst = rand_instance(rng, n=n, p=p, r=r)
+            X = rng.standard_normal((5, n)) * 2.0
+            G, H = grad_primal(inst, X), hess_primal(inst, X)
+            assert G.shape == (5, n) and H.shape == (5, n, n)
+            for i, x in enumerate(X):
+                z1, g1, h1 = _pointwise_derivatives(inst, x)
+                assert np.array_equal(duality_map(inst, x).vector(), z1)
+                assert np.array_equal(G[i], g1) and np.array_equal(G[i], grad_primal(inst, x))
+                assert np.array_equal(H[i], h1) and np.array_equal(H[i], hess_primal(inst, x))

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,13 @@ from canodual.model import (
 )
 from canodual.dual import BOUNDARY_MARGIN, GRAD_TOL, assemble, grad_dual, hess_dual
 from canodual.oracle import grid_global_min
-from canodual.primal import eval_primal, grad_primal
+from canodual.primal import eval_primal, grad_primal, hess_primal
 from canodual.solver import (
     SolverConfig,
     _evaluate,
     _hessians,
     _newton_roots,
+    _primal_roots,
     _sample_starts,
     find_critical_points,
     make_pair,
@@ -369,3 +372,79 @@ class TestLockstepRoots:
                                 else "capped" if it == cfg.max_iter else "stalled"
                                 for it, ok in zip(iters, converged)}
         assert endings == {"rejected", "converged", "capped", "stalled"}
+
+
+def _serial_primal_root(inst, x, tol):
+    """Reference for the lockstep harvest: the primal Newton iteration of one
+    start, one point at a time. Returns (x, converged, how it ended)."""
+    for _ in range(40):
+        g = grad_primal(inst, x)
+        ginf = float(np.max(np.abs(g)))
+        if not np.isfinite(ginf):
+            return x, False, "non-finite"
+        if ginf <= tol:
+            return x, True, "converged"
+        try:
+            step = np.linalg.solve(hess_primal(inst, x), -g)
+        except np.linalg.LinAlgError:
+            step = -g
+        if not np.all(np.isfinite(step)):
+            step = -g
+        merit = float(g @ g)
+        t = 1.0
+        while t > 1e-14:
+            g_t = grad_primal(inst, x + t * step)
+            if np.all(np.isfinite(g_t)) and float(g_t @ g_t) <= merit * (1.0 - 1e-4 * t):
+                break
+            t *= 0.5
+        else:
+            return x, False, "exhausted"
+        x = x + t * step
+    return x, False, "capped"
+
+
+class TestLockstepHarvest:
+    def _check_rows(self, seed):
+        """Runs every shape with n 1..4, m 1..3; k starts in one call must end
+        bitwise as k one-row calls and as the reference. Returns the endings."""
+        rng = np.random.default_rng(seed)
+        endings = set()
+        for n in range(1, 5):
+            for m in range(1, 4):
+                for p in range(m + 1):
+                    inst = rand_instance(rng, n=n, p=p, r=m - p)
+                    fscale = 1.0 + float(np.max(np.abs(inst.f)))
+                    # the last start has a non-finite gradient from the outset
+                    X0 = np.vstack([rng.standard_normal((4, n)) * 2.5 * fscale,
+                                    np.full(n, np.inf)])
+                    with np.errstate(invalid="ignore"):
+                        X, converged = _primal_roots(inst, X0, 1e-8 * fscale)
+                        for i, x0 in enumerate(X0):
+                            x, ok = _primal_roots(inst, x0[None], 1e-8 * fscale)
+                            assert np.array_equal(x[0], X[i]) and ok[0] == converged[i]
+                            x, ok, ending = _serial_primal_root(inst, x0, 1e-8 * fscale)
+                            assert np.array_equal(x, X[i]) and ok == converged[i]
+                            endings.add(ending)
+        return endings
+
+    def test_rows_end_as_they_would_alone(self):
+        """The lockstep rounds couple no two starts, whichever way each ends."""
+        assert self._check_rows(0) == {"converged", "capped", "exhausted", "non-finite"}
+
+    def test_failed_hessian_solves_fall_back_row_by_row(self, monkeypatch):
+        """With a third of the Hessians refused as singular, a stacked solve
+        holding one of them fails whole; its rows are retried one at a time
+        and the refused ones step along -grad, as the reference does."""
+        solve = np.linalg.solve
+        refused = {"stacked": 0, "one": 0}
+
+        def flaky(a, b):
+            mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
+            if any(zlib.crc32(np.ascontiguousarray(M).tobytes()) % 3 == 0 for M in mats):
+                refused["stacked" if len(mats) > 1 else "one"] += 1
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        self._check_rows(1)
+        assert refused["stacked"] > 0 and refused["one"] > 0
