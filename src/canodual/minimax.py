@@ -17,10 +17,12 @@ with the entropy conjugate on (0, 1):
 The dual is strictly concave on the sub-interval where A + tau I is
 positive definite; the shared engine's maximizer there recovers the global
 smoothed minimizer. The remaining critical points of the univariate dual
-are enumerated by the engine's scan over (0, 1) minus the spectrum poles
-and classified through the general machinery. This module keeps the
-instance and canonical-form types, the solves, and the (d, beta) forms of
-the dual functions and the existence check.
+are enumerated by the engine's enclosure search over (0, 1) minus the
+spectrum poles (bisection that drops every sub-interval whose bounds on
+the dual's slope exclude zero) and classified through the general
+machinery. This module keeps the instance and canonical-form types, the
+solves, and the (d, beta) forms of the dual functions and the existence
+check.
 
 Smoothing error is one-sided: max <= smoothed <= max + log(2)/beta.
 """
@@ -87,7 +89,10 @@ class MinimaxInstance:
         return hi + np.log1p(np.exp(self.beta * (lo - hi))) / self.beta
 
 
-def validate_minimax(mm: MinimaxInstance) -> MinimaxInstance:
+def validate_minimax(mm: MinimaxInstance, check_difference: bool = True) -> MinimaxInstance:
+    """The instance with symmetrized curvatures, or an input error.
+    ``check_difference=False`` leaves the test that A2 - A1 is positive
+    definite to a caller that makes it on its own eigendecomposition."""
     n = mm.n
     A1 = _symmetrized("A1", mm.A1, n)
     A2 = _symmetrized("A2", mm.A2, n)
@@ -97,13 +102,18 @@ def validate_minimax(mm: MinimaxInstance) -> MinimaxInstance:
         raise NonPositiveParameterError("beta must be positive", beta=mm.beta)
     if not all(np.all(np.isfinite(v)) for v in (mm.f1, mm.f2, [mm.d1, mm.d2])):
         raise ShapeMismatchError("non-finite data")
-    w = np.linalg.eigvalsh(A2 - A1)
+    if check_difference:
+        _require_positive_difference(np.linalg.eigvalsh(A2 - A1))
+    return MinimaxInstance(A1=A1, A2=A2, f1=mm.f1, f2=mm.f2,
+                           d1=float(mm.d1), d2=float(mm.d2), beta=float(mm.beta))
+
+
+def _require_positive_difference(w: np.ndarray) -> None:
+    """Raise unless the ascending eigenvalues w of A2 - A1 are positive."""
     if w[0] <= 1e-10 * (1.0 + abs(w[-1])):
         raise NotPositiveDefiniteError(
             "branch difference A2 - A1 must be positive definite",
             min_eig=float(w[0]))
-    return MinimaxInstance(A1=A1, A2=A2, f1=mm.f1, f2=mm.f2,
-                           d1=float(mm.d1), d2=float(mm.d2), beta=float(mm.beta))
 
 
 @dataclass(frozen=True)
@@ -139,11 +149,14 @@ class CanonicalForm:
 
 def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     """Whiten the branch difference and fold the base branch constant into
-    the value shift."""
-    mm = validate_minimax(mm)
+    the value shift. One eigendecomposition of the difference serves the
+    definiteness test, the conditioning warning and the whitening."""
+    mm = validate_minimax(mm, check_difference=False)
     delta = mm.A2 - mm.A1
     g = mm.f2 - mm.f1
-    w, V, inv_root = univariate.whiten(delta, "branch difference")   # delta^{-1/2}
+    w, V = np.linalg.eigh(delta)
+    _require_positive_difference(w)
+    inv_root = univariate.inverse_root(w, V)            # delta^{-1/2}
     if w[-1] / w[0] > 1e10:
         warnings.warn(
             f"branch difference is badly conditioned (kappa = {w[-1] / w[0]:.2e}); "
@@ -169,7 +182,7 @@ def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
     if np.max(np.abs(term.Q - np.eye(n))) <= 1e-14:
         return CanonicalForm(A=inst.A, f=inst.f, d=term.d, beta=inst.beta,
                              basis=np.eye(n), offset=np.zeros(n), value_shift=0.0)
-    inv_root = univariate.whiten(term.Q, "log-sum-exp weight")[2]
+    inv_root = univariate.whiten(term.Q, "log-sum-exp weight")
     return CanonicalForm(A=inv_root @ inst.A @ inv_root, f=inv_root @ inst.f,
                          d=term.d, beta=inst.beta, basis=inv_root,
                          offset=np.zeros(n), value_shift=0.0)

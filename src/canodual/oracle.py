@@ -1,8 +1,9 @@
 """Desk-scale ground truth, independent of the dual machinery.
 
 ``grid_global_min`` brute-forces the objective on a box grid and polishes
-the best node with plain gradient descent driven by finite differences, so
-nothing here shares code with the analytic solvers it is used to check.
+the best node with plain (unconstrained) gradient descent driven by finite
+differences, so nothing here shares code with the analytic solvers it is
+used to check.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ def check_grid_dimension(n: int) -> None:
 
 def grid_global_min(inst: ProblemInstance, box: BoxLike,
                     resolution: int = 601) -> tuple[np.ndarray, float]:
-    """Best grid node in the box, polished; deterministic.
+    """Best node of a grid on the box, polished; deterministic.
 
     Grid-only search can miss minima between nodes on quartic / smoothed-max
     curvature, so the node is always polished; the reported value is never
-    above the best raw node value.
+    above the best raw node value. The polish is unconstrained: it may walk
+    out of the box, so the returned point can lie outside it.
     """
     n = inst.n
     check_grid_dimension(n)

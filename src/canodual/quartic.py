@@ -86,7 +86,7 @@ class QuarticInstance:
         term = inst.quartic_terms[0]
         if np.max(np.abs(term.B - np.eye(inst.n))) <= 1e-14:
             return QuarticInstance(A=inst.A, f=inst.f, alpha=term.alpha, c=term.c)
-        inv_root = univariate.whiten(term.B, "quartic weight")[2]
+        inv_root = univariate.whiten(term.B, "quartic weight")
         return QuarticInstance(A=inv_root @ inst.A @ inv_root,
                                f=inv_root @ inst.f,
                                alpha=term.alpha, c=term.c, basis=inv_root)

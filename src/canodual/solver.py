@@ -588,16 +588,19 @@ def _factor(inst: ProblemInstance, zeta: DualPoint) -> Optional[_dual.ShiftedHes
     return None if G.is_singular else G
 
 
-def triality_classify(inst: ProblemInstance, pair: CriticalPair) -> CriticalPair:
+def triality_classify(inst: ProblemInstance, pair: CriticalPair,
+                      factor: Optional[_dual.ShiftedHessian] = None) -> CriticalPair:
     """Attach triality labels and the dual gradient residual to a critical pair.
 
     Raises :class:`NotCriticalError` when the dual gradient residual exceeds
     ten times the solver tolerance. Near the domain boundary the dual
     curvature can be so large that no float-representable point resolves the
     gradient that finely; the filter therefore never demands more than the
-    attainable precision eps * ||hessian|| * (1 + ||zeta||).
+    attainable precision eps * ||hessian|| * (1 + ||zeta||). ``factor``, when
+    given, is the nonsingular factorisation of G(pair.zeta) with tau in the
+    open simplex, which is then not built again.
     """
-    G = _factor(inst, pair.zeta)
+    G = factor if factor is not None else _factor(inst, pair.zeta)
     if G is None:
         return replace(pair, region=Region.SINGULAR,
                        classification=Classification.UNCLASSIFIED)
@@ -661,7 +664,7 @@ def make_pair(inst: ProblemInstance, zeta: DualPoint) -> Optional[CriticalPair]:
                         classification=Classification.UNCLASSIFIED,
                         gap=abs(pv - dv))
     try:
-        return triality_classify(inst, pair)
+        return triality_classify(inst, pair, factor=G)
     except NotCriticalError:
         return None
 

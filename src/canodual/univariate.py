@@ -38,7 +38,8 @@ HEAD_COMPONENT_RTOL = 1e-12
 POLE_TOL = 1e-14
 REACH = 1e-13          # bracketing gives up this close (relatively) to an end,
 REACH_FINITE_LEFT = 1e-14  # or to the left end of a finite interval (of its width)
-SCAN_POINTS = 2048
+ENCLOSURE_ULPS = 16     # rounding allowance of the enclosure search's exclusion test
+STOP_RTOL = 1e-15       # and its narrowest sub-interval, relative to |u| + |v|
 MAX_ITER = 200         # refinement cap of the fast paths' root searches
 
 
@@ -275,27 +276,66 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
     return found
 
 
+def _secular_terms(sd: SpectralData, conj: Conjugate, s: np.ndarray) -> np.ndarray:
+    """Rows s, S, S', V*' at an array of points, where
+    S(s) = 1/2 sum f_hat_i^2 / (lambda_i + s)^2, so that D' = S - V*'."""
+    s, shifted = _shifted(sd, conj, s)
+    inv_sq = 1.0 / shifted ** 2
+    return np.stack([s, 0.5 * (sd.f_hat ** 2 @ inv_sq), -(sd.f_hat ** 2 @ (inv_sq / shifted)),
+                     conj.slope(s)])
+
+
 def critical_points(sd: SpectralData, conj: Conjugate) -> list[float]:
-    """All roots of D' on a bounded domain minus the poles, found by a
-    sign-change scan of each pole-free interval (a boundary margin kept)."""
+    """All roots of D' on a bounded domain minus the poles (a boundary
+    margin kept at each end of every pole-free interval).
+
+    An enclosure search: on a pole-free sub-interval [u, v], S is convex and
+    V*' increasing, so D' = S - V*' lies between (the end tangents' lower
+    bound of S) - V*'(v) and max(S(u), S(v)) - V*'(u). A sub-interval whose
+    enclosure of D' excludes 0 holds no root and is dropped. One where S is
+    decreasing (S'(v) < 0, S' being increasing) has D' strictly decreasing,
+    so it holds at most one root, which :func:`refine` resolves when the
+    ends bracket it (as it does for a sub-interval bisected down to
+    STOP_RTOL); every other sub-interval is bisected. This is interval
+    branch and bound with exclusion tests (Hansen & Walster, Global
+    Optimization Using Interval Analysis, 2004). All pending sub-intervals
+    of all pole intervals are evaluated together, one array per round. A
+    trimmed end where |D'| <= GRAD_TOL is reported as a root as well.
+    """
     poles = sorted({float(-lam) for lam in sd.lambdas if conj.lo < -lam < conj.hi})
-    edges = [conj.lo] + poles + [conj.hi]
+    edges = np.array([conj.lo] + poles + [conj.hi])
+    width = np.diff(edges)
+    keep = width > 4.0 * BOUNDARY_MARGIN
+    if not keep.any():
+        return []
+    margin = np.maximum(BOUNDARY_MARGIN, 1e-9 * width[keep])
+    left = _secular_terms(sd, conj, edges[:-1][keep] + margin)
+    right = _secular_terms(sd, conj, edges[1:][keep] - margin)
+    roots = [float(end[0]) for end in np.hstack([left, right]).T
+             if abs(end[1] - end[3]) <= GRAD_TOL]
     deriv = lambda s: derivative(sd, conj, s)
-    roots: list[float] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        if width <= 4.0 * BOUNDARY_MARGIN:
-            continue
-        lo = a + max(BOUNDARY_MARGIN, 1e-9 * width)
-        hi = b - max(BOUNDARY_MARGIN, 1e-9 * width)
-        grid = np.linspace(lo, hi, SCAN_POINTS)
-        vals = deriv(grid)
-        for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-            roots.append(refine(deriv, float(grid[i]), float(grid[i + 1]), float(vals[i]),
+    while True:
+        (u, S_u, dS_u, slope_u), (v, S_v, dS_v, slope_v) = left, right
+        D_u, D_v = S_u - slope_u, S_v - slope_v
+        # lowest point of the larger of the end tangents of the convex S
+        den = dS_u - dS_v
+        t = np.clip((S_v - S_u - dS_v * (v - u)) / np.where(den < 0.0, den, -1.0), 0.0, v - u)
+        S_lo = np.where(dS_u >= 0.0, S_u, np.where(dS_v <= 0.0, S_v,
+                                                  np.minimum(S_u + dS_u * t, S_v)))
+        S_hi = np.maximum(S_u, S_v)
+        slack = ENCLOSURE_ULPS * np.finfo(float).eps * (S_hi + np.abs(slope_u) + np.abs(slope_v))
+        open_ = (S_lo - slope_v <= slack) & (S_hi - slope_u >= -slack)
+        # S' increases, so S'(v) < 0 makes D'' = S' - V*'' negative throughout
+        settled = open_ & ((dS_v < 0.0) | (v - u <= STOP_RTOL * (np.abs(u) + np.abs(v))))
+        for i in np.nonzero(settled & (D_u * D_v <= 0.0))[0]:
+            roots.append(refine(deriv, float(u[i]), float(v[i]), float(D_u[i]),
                                 GRAD_TOL, MAX_ITER)[0])
-        for endpoint, v in ((lo, vals[0]), (hi, vals[-1])):
-            if abs(v) <= GRAD_TOL:
-                roots.append(float(endpoint))
+        split = open_ & ~settled
+        if not split.any():
+            break
+        mid = _secular_terms(sd, conj, 0.5 * (u[split] + v[split]))
+        left = np.hstack([left[:, split], mid])
+        right = np.hstack([mid, right[:, split]])
     dedup: list[float] = []
     for root in sorted(roots):
         if not dedup or root - dedup[-1] > 1e-9:
@@ -306,10 +346,15 @@ def critical_points(sd: SpectralData, conj: Conjugate) -> list[float]:
 # ---------------------------------------------------------------------------
 # whitening
 
-def whiten(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of a positive definite weight M and M^{-1/2};
-    raises :class:`ShapeMismatchError` when M is not positive definite."""
+def whiten(M: np.ndarray, what: str) -> np.ndarray:
+    """M^{-1/2} of a positive definite weight M; raises
+    :class:`ShapeMismatchError` when M is not positive definite."""
     w, V = np.linalg.eigh(M)
     if w[0] <= 1e-12 * (1.0 + abs(w[-1])):
         raise ShapeMismatchError(f"{what} must be positive definite", min_eig=float(w[0]))
-    return w, V, (V * (1.0 / np.sqrt(w))) @ V.T
+    return inverse_root(w, V)
+
+
+def inverse_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M^{-1/2} from the eigenpairs (w, V) of a positive definite M."""
+    return (V * (1.0 / np.sqrt(w))) @ V.T

@@ -20,6 +20,7 @@ from canodual.minimax import (
     smooth_and_canonicalize,
     solve,
     solve_smoothed,
+    validate_minimax,
 )
 from canodual.model import Classification, ExistenceVerdict, SpectralData
 
@@ -65,10 +66,12 @@ class TestCanonicalize:
             assert mm.branch_values(x)[0] == pytest.approx(base, abs=1e-9)
 
     def test_not_pd_rejected(self):
-        mm = MinimaxInstance(A1=2.0 * np.eye(2), A2=-2.0 * np.eye(2),
-                             f1=np.zeros(2), f2=np.zeros(2))
-        with pytest.raises(NotPositiveDefiniteError):
-            smooth_and_canonicalize(mm)
+        # negative definite, and positive but below the relative threshold 1e-10
+        for A2 in (-2.0 * np.eye(2), 2.0 * np.eye(2) + np.diag([1.0, 1e-10])):
+            mm = MinimaxInstance(A1=2.0 * np.eye(2), A2=A2, f1=np.zeros(2), f2=np.zeros(2))
+            for step in (validate_minimax, smooth_and_canonicalize):
+                with pytest.raises(NotPositiveDefiniteError):
+                    step(mm)
 
     def test_smoothing_sandwich(self, rng):
         # max <= smoothed <= max + log(2)/beta, checked on 1000 points

@@ -195,6 +195,17 @@ class TestTriality:
         with pytest.raises(NotCriticalError):
             triality_classify(inst, raw)
 
+    @pytest.mark.parametrize("example", [fixtures.example1, fixtures.example2])
+    def test_given_factor_classifies_as_a_fresh_one(self, example):
+        inst = example()
+        pairs = find_critical_points(inst).critical_pairs
+        assert len(pairs) >= 3
+        for p in pairs:
+            given = triality_classify(inst, p, factor=assemble(inst, p.zeta))
+            fresh = triality_classify(inst, p)
+            for field in ("region", "classification", "primal_label", "dual_label", "residual"):
+                assert getattr(given, field) == getattr(fresh, field)
+
     @pytest.mark.parametrize("where", ["singular", "outside"])
     def test_undefined_dual_point_is_singular_unclassified(self, where):
         from canodual.model import CriticalPair
