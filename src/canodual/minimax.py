@@ -29,7 +29,6 @@ Smoothing error is one-sided: max <= smoothed <= max + log(2)/beta.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -150,18 +149,15 @@ class CanonicalForm:
 def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     """Whiten the branch difference and fold the base branch constant into
     the value shift. One eigendecomposition of the difference serves the
-    definiteness test, the conditioning warning and the whitening."""
+    definiteness test and the whitening. The test admits only
+    w_min > 1e-10 (1 + w_max), which bounds the condition number of the
+    difference below 1e10, so an admitted difference needs no warning."""
     mm = validate_minimax(mm, check_difference=False)
     delta = mm.A2 - mm.A1
     g = mm.f2 - mm.f1
     w, V = np.linalg.eigh(delta)
     _require_positive_difference(w)
     inv_root = univariate.inverse_root(w, V)            # delta^{-1/2}
-    if w[-1] / w[0] > 1e10:
-        warnings.warn(
-            f"branch difference is badly conditioned (kappa = {w[-1] / w[0]:.2e}); "
-            "the whitening transform may lose accuracy", RuntimeWarning,
-            stacklevel=2)
     offset = V @ ((V.T @ g) / w)                        # delta^{-1} g
     A = inv_root @ mm.A1 @ inv_root
     f = inv_root @ (mm.f1 - mm.A1 @ offset)

@@ -23,6 +23,15 @@ time), and the refinement of the m = 1 scan. Only ``make_pair`` and
 the per-point functions of ``dual``. In both lockstep searches no start
 reads another's data, so each ends bitwise as it would alone.
 
+Both lockstep searches backtrack in batches: each round evaluates a batch
+of halvings of every running start's first trial step, sized from that
+start's own history (``_trial_round``): t0 alone after a full step, else
+up to 8 halvings past the one its previous step accepted, then doubling.
+A start crawling next to a singular G thus takes about one round per
+step instead of several. The accepted trial is still the first acceptable
+one in halving order, so the batch sizes change only how many kernel calls
+a search makes, never its result.
+
 Classification semantics at a dual critical point zeta with recovered x:
 
 * G(zeta) positive definite  -> x is the global minimizer.
@@ -408,31 +417,45 @@ def _half_sq_norms(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g[:, None, :] @ g[:, :, None])[:, 0, 0]
 
 
-# After a start rejects its first trial step, it tries this many further
-# halvings of the step per round.
+# The line-search batch sizing of the lockstep searches: a start's first
+# batch reaches this many halvings past the one it accepted on its previous
+# step, and each later batch tries at least this many further halvings.
 _HALVINGS_PER_ROUND = 8
 
 
-def _trial_round(running: np.ndarray, tried: np.ndarray, t0: np.ndarray,
-                 floor: float):
+def _trial_round(running: np.ndarray, tried: np.ndarray, last: np.ndarray,
+                 t0: np.ndarray, floor: float):
     """The trial steps of one line-search round of a lockstep search.
 
-    A running start that has tried nothing yet tries its first step t0
-    alone; the others try their next ``_HALVINGS_PER_ROUND`` halvings of
-    it. A start whose next trial is at most ``floor`` has exhausted its
-    backtracking and stops running. Advances ``tried`` (halvings of t0
-    tried per start) and returns (owner, t): the start and step length of
-    every trial, grouped by start in halving order.
+    Each running start sizes its batch from its own history only. The first
+    batch of a line search runs from halving 0 of t0 up to
+    ``_HALVINGS_PER_ROUND`` past ``last``, the halving the start accepted on
+    its previous step; it is t0 alone when that step took the full t0 (or
+    there was none). Each later batch doubles the halvings tried so far,
+    with at least ``_HALVINGS_PER_ROUND``. A start whose next trial is at
+    most ``floor`` has exhausted its backtracking and stops running.
+
+    The batch decides only how many trials share a kernel call: every trial
+    is the same t0 * 0.5**h and its stacked row is evaluated independently
+    of the others, and the caller accepts the first acceptable trial in
+    halving order, so a start ends bitwise as under any other batching.
+
+    Advances ``tried`` (halvings of t0 tried per start) and returns
+    (owner, t, halving): the start, step length and halving index of every
+    trial, grouped by start in halving order.
     """
     L = running.nonzero()[0]
-    batch = np.where(tried[L] == 0, 1, _HALVINGS_PER_ROUND)
+    done, hint = tried[L], last[L]
+    first = np.where(hint > 0, hint + _HALVINGS_PER_ROUND + 1, 1)
+    batch = np.where(done > 0, np.maximum(done, _HALVINGS_PER_ROUND), first)
     owner = L.repeat(batch)
     lead = batch.cumsum() - batch  # each start's first trial
-    t = t0[owner] * 0.5 ** (tried[owner] + np.arange(owner.size) - lead.repeat(batch))
+    halving = tried[owner] + np.arange(owner.size) - lead.repeat(batch)
+    t = t0[owner] * 0.5 ** halving
     live = t > floor
     running[L[~live[lead]]] = False
     tried[L] += batch
-    return owner[live], t[live]
+    return owner[live], t[live], halving[live]
 
 
 def _first_acceptable(owner: np.ndarray, ok: np.ndarray):
@@ -465,6 +488,7 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
     step = np.zeros_like(Z)
     t0 = np.zeros(k)                # first trial step length
     tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
+    last = np.zeros(k, dtype=int)   # halving accepted on the previous step
     merit = np.zeros(k)
     while running.any():
         S = np.flatnonzero(fresh)
@@ -483,12 +507,13 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
             t0[S] = np.minimum(1.0, _tau_step_caps(Z[S, :p], dz[:, :p], BOUNDARY_MARGIN))
             tried[S] = 0
             merit[S] = _half_sq_norms(pts.grad[S])
-        owner, t = _trial_round(running, tried, t0, 1e-16)
+        owner, t, halving = _trial_round(running, tried, last, t0, 1e-16)
         Zt = Z[owner] + t[:, None] * step[owner]
         trial = _evaluate(inst, Zt)
         ok = trial.valid & np.all(np.isfinite(trial.grad), axis=1)
         ok[ok] = _half_sq_norms(trial.grad[ok]) <= merit[owner[ok]] * (1.0 - 2e-4 * t[ok])
         accepted, first = _first_acceptable(owner, ok)
+        last[accepted] = halving[first]
         Z[accepted] = Zt[first]
         for mine, theirs in zip(pts, trial):
             mine[accepted] = theirs[first]
@@ -524,6 +549,7 @@ def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
     step = np.zeros_like(X)
     t0 = np.ones(k)                 # first trial step length
     tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
+    last = np.zeros(k, dtype=int)   # halving accepted on the previous step
     merit = np.zeros(k)
     while running.any():
         S = fresh.nonzero()[0]
@@ -544,12 +570,13 @@ def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
                 step[S] = dx
                 tried[S] = 0
                 merit[S] = _half_sq_norms(gS)
-        owner, t = _trial_round(running, tried, t0, 1e-14)
+        owner, t, halving = _trial_round(running, tried, last, t0, 1e-14)
         Xt = X[owner] + t[:, None] * step[owner]
         gt = _primal.grad_primal(inst, Xt)
         ok = np.isfinite(gt).all(axis=1)
         ok[ok] = _half_sq_norms(gt[ok]) <= merit[owner[ok]] * (1.0 - 1e-4 * t[ok])
         accepted, first = _first_acceptable(owner, ok)
+        last[accepted] = halving[first]
         X[accepted] = Xt[first]
         g[accepted] = gt[first]
         fresh[accepted] = True

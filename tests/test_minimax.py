@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ class TestCanonicalize:
             for step in (validate_minimax, smooth_and_canonicalize):
                 with pytest.raises(NotPositiveDefiniteError):
                     step(mm)
+
+    @pytest.mark.parametrize("w_min, admitted", [(1.002e-7, True), (1.0e-7, False)])
+    def test_conditioning_at_the_definiteness_threshold(self, w_min, admitted):
+        # w_max = 1e3 puts the threshold 1e-10 (1 + w_max) at 1.001e-7: just
+        # above it kappa is 1e10 to within 0.1 %, and the solve stays silent
+        mm = MinimaxInstance(A1=np.eye(2), A2=np.eye(2) + np.diag([1e3, w_min]),
+                             f1=np.array([1.0, 0.5]), f2=np.zeros(2), d2=0.5, beta=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if admitted:
+                assert solve(mm).best.classification == Classification.GLOBAL_MIN
+            else:
+                with pytest.raises(NotPositiveDefiniteError):
+                    solve(mm)
 
     def test_smoothing_sandwich(self, rng):
         # max <= smoothed <= max + log(2)/beta, checked on 1000 points

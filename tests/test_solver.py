@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from canodual import fixtures
+from canodual import fixtures, solver
 from canodual.errors import HardCaseError, NotCriticalError
 from canodual.model import (
     Classification,
@@ -283,7 +283,10 @@ def _singular_start(inst):
 
 def _serial_newton_root(inst, z, cfg):
     """Reference for the lockstep search: the same Newton iteration for one
-    start, one point at a time through the public dual functions."""
+    start, one point at a time through the public dual functions. Returns
+    (z, iterations, converged, halvings): ``halvings`` lists the halving of
+    t0 each step accepted, with None for a line search that reached the
+    floor."""
     def factor(z):
         zeta = DualPoint.from_vector(z, inst.p)
         if not zeta.tau_interior():
@@ -299,16 +302,17 @@ def _serial_newton_root(inst, z, cfg):
                 cap = min(cap, max(allowed, 0.0) / (-slope))
         return cap
 
+    halvings = []
     zeta, G = factor(z)
     if zeta is None:
-        return z, 0, False
+        return z, 0, False, halvings
     g = grad_dual(inst, zeta, factor=G)
     for it in range(1, cfg.max_iter + 1):
         ginf = float(np.max(np.abs(g)))
         if not np.isfinite(ginf):
-            return z, it, False
+            return z, it, False, halvings
         if ginf <= GRAD_TOL:
-            return z, it, True
+            return z, it, True, halvings
         J = hess_dual(inst, zeta, factor=G)
         try:
             step = np.linalg.solve(J, -g)
@@ -318,21 +322,35 @@ def _serial_newton_root(inst, z, cfg):
             step = -J @ g
             size = float(np.max(np.abs(step)))
             if size == 0.0:
-                return z, it, False
+                return z, it, False, halvings
             step /= size
         merit = 0.5 * float(g @ g)
-        t = min(1.0, tau_cap(zeta.tau, step[:inst.p], BOUNDARY_MARGIN))
+        t, h = min(1.0, tau_cap(zeta.tau, step[:inst.p], BOUNDARY_MARGIN)), 0
         while t > 1e-16:
             trial, trial_G = factor(z + t * step)
             if trial is not None:
                 gt = grad_dual(inst, trial, factor=trial_G)
                 if np.all(np.isfinite(gt)) and 0.5 * float(gt @ gt) <= merit * (1.0 - 2e-4 * t):
                     break
-            t *= 0.5
+            t, h = t * 0.5, h + 1
         else:
-            return z, it, False
+            return z, it, False, halvings + [None]
+        halvings.append(h)
         z, zeta, G, g = z + t * step, trial, trial_G, gt
-    return z, cfg.max_iter, float(np.max(np.abs(g))) <= GRAD_TOL
+    return z, cfg.max_iter, float(np.max(np.abs(g))) <= GRAD_TOL, halvings
+
+
+def _deep_line_searches(halvings):
+    """The backtracking patterns the batch sizing must keep exact: two
+    consecutive steps accepted at halving 8 or more, and a line search run
+    down to the floor right after such a step."""
+    deep = [h is not None and h >= 8 for h in halvings]
+    found = set()
+    if any(a and b for a, b in zip(deep, deep[1:])):
+        found.add("deep twice")
+    if len(halvings) >= 2 and halvings[-1] is None and deep[-2]:
+        found.add("floor after deep")
+    return found
 
 
 class TestLockstepRoots:
@@ -376,25 +394,105 @@ class TestLockstepRoots:
                         z, it, ok = _newton_roots(inst, z0[None], cfg)
                         assert np.array_equal(z[0], Z[i])
                         assert (it[0], ok[0]) == (iters[i], converged[i])
-                        z, it, ok = _serial_newton_root(inst, z0, cfg)
+                        z, it, ok, halvings = _serial_newton_root(inst, z0, cfg)
                         assert np.array_equal(z, Z[i])
                         assert (it, ok) == (iters[i], converged[i])
+                        endings |= _deep_line_searches(halvings)
                     endings |= {"rejected" if it == 0 else "converged" if ok
                                 else "capped" if it == cfg.max_iter else "stalled"
                                 for it, ok in zip(iters, converged)}
-        assert endings == {"rejected", "converged", "capped", "stalled"}
+        assert endings == {"rejected", "converged", "capped", "stalled",
+                           "deep twice", "floor after deep"}
+
+    def test_batches_follow_each_start_history(self):
+        """Each start's batch comes from its own tried count and previous
+        acceptance: t0 alone after a full step, halvings 0 to 8 past the
+        previous acceptance otherwise, then doubling what was tried, with
+        at least 8; trials at or below the floor are dropped and a start
+        whose next trial is there stops."""
+        running = np.array([True, True, True, True, False, True, True])
+        tried = np.array([0, 0, 1, 12, 5, 50, 54])
+        last = np.array([0, 3, 6, 4, 9, 11, 2])
+        t0 = np.array([1.0, 0.75, 1.0, 0.5, 1.0, 1.0, 1.0])
+        owner, t, halving = solver._trial_round(running, tried, last, t0, 1e-16)
+        expected = {0: [0], 1: list(range(12)), 2: list(range(1, 9)),
+                    3: list(range(12, 24)), 5: list(range(50, 54))}
+        assert owner.tolist() == [i for i in expected for _ in expected[i]]
+        assert halving.tolist() == [h for i in expected for h in expected[i]]
+        assert np.array_equal(t, t0[owner] * 0.5 ** halving)
+        assert running.tolist() == [True] * 4 + [False, True, False]
+        assert tried[:6].tolist() == [1, 12, 9, 24, 5, 100]
+
+    @pytest.mark.parametrize("h, first_rounds, floor_rounds", [(3, 2, 5), (10, 3, 4)])
+    def test_a_repeated_halving_costs_one_round_per_step(self, monkeypatch, h,
+                                                         first_rounds, floor_rounds):
+        """Near a root, a step of 1.5 * 2**h Newton steps is accepted at
+        halving h every time (at h - 1 it doubles the gradient). The first
+        line search tries t0 alone, then 8 halvings, then 9, so it takes 2
+        rounds for h = 3 and 3 for h = 10; every later one takes a single
+        round. Once the direction is NaN, no trial is
+        acceptable: after h = 10 the search tries 19, 19 and 38 halvings,
+        past the floor at halving 53, and stops in a fourth round; after
+        h = 3 it tries 12, 12, 24 and 48 and stops in a fifth."""
+        rng = np.random.default_rng(0)
+        cfg = SolverConfig(num_starts=6, max_iter=80)
+        inst = rand_instance(rng, n=2, p=0, r=1)
+        Z, _, converged = _newton_roots(inst, _sample_starts(inst, cfg, rng), cfg)
+        z0 = Z[converged][0] + 1e-3
+        directions, evaluate = solver._directions, solver._evaluate
+        trial_round, first_acceptable = solver._trial_round, solver._first_acceptable
+        seen = {"calls": 0, "steps": 0, "halvings": None, "accepted": [],
+                "stall_after": cfg.max_iter}
+
+        def scaled(*args):
+            step, flat = directions(*args)
+            seen["steps"] += 1
+            scale = 1.5 * 2.0 ** h if seen["steps"] <= seen["stall_after"] else np.nan
+            return step * scale, flat
+
+        def counted(*args):
+            seen["calls"] += 1
+            assert seen["calls"] < 200, "the line search never reached the floor"
+            return evaluate(*args)
+
+        def recorded_round(*args):
+            owner, t, seen["halvings"] = trial_round(*args)
+            return owner, t, seen["halvings"]
+
+        def recorded_acceptance(*args):
+            accepted, first = first_acceptable(*args)
+            seen["accepted"] += seen["halvings"][first].tolist()
+            return accepted, first
+
+        monkeypatch.setattr(solver, "_directions", scaled)
+        monkeypatch.setattr(solver, "_evaluate", counted)
+        monkeypatch.setattr(solver, "_trial_round", recorded_round)
+        monkeypatch.setattr(solver, "_first_acceptable", recorded_acceptance)
+        _, iters, converged = _newton_roots(inst, z0[None], cfg)
+        steps = len(seen["accepted"])
+        assert converged[0] and steps == iters[0] - 1 > 10
+        assert seen["accepted"] == [h] * steps
+        # the first evaluation, the rounds, and the round that finds the root
+        assert seen["calls"] == 1 + first_rounds + (steps - 1) + 1
+
+        seen.update(calls=0, steps=0, accepted=[], stall_after=5)
+        _, iters, converged = _newton_roots(inst, z0[None], cfg)
+        assert not converged[0] and seen["accepted"] == [h] * 5
+        assert seen["calls"] == 1 + first_rounds + 4 + floor_rounds
 
 
 def _serial_primal_root(inst, x, tol):
     """Reference for the lockstep harvest: the primal Newton iteration of one
-    start, one point at a time. Returns (x, converged, how it ended)."""
+    start, one point at a time. Returns (x, converged, how it ended,
+    halvings), with ``halvings`` as in :func:`_serial_newton_root`."""
+    halvings = []
     for _ in range(40):
         g = grad_primal(inst, x)
         ginf = float(np.max(np.abs(g)))
         if not np.isfinite(ginf):
-            return x, False, "non-finite"
+            return x, False, "non-finite", halvings
         if ginf <= tol:
-            return x, True, "converged"
+            return x, True, "converged", halvings
         try:
             step = np.linalg.solve(hess_primal(inst, x), -g)
         except np.linalg.LinAlgError:
@@ -402,16 +500,17 @@ def _serial_primal_root(inst, x, tol):
         if not np.all(np.isfinite(step)):
             step = -g
         merit = float(g @ g)
-        t = 1.0
+        t, h = 1.0, 0
         while t > 1e-14:
             g_t = grad_primal(inst, x + t * step)
             if np.all(np.isfinite(g_t)) and float(g_t @ g_t) <= merit * (1.0 - 1e-4 * t):
                 break
-            t *= 0.5
+            t, h = t * 0.5, h + 1
         else:
-            return x, False, "exhausted"
+            return x, False, "exhausted", halvings + [None]
+        halvings.append(h)
         x = x + t * step
-    return x, False, "capped"
+    return x, False, "capped", halvings
 
 
 class TestLockstepHarvest:
@@ -433,14 +532,16 @@ class TestLockstepHarvest:
                         for i, x0 in enumerate(X0):
                             x, ok = _primal_roots(inst, x0[None], 1e-8 * fscale)
                             assert np.array_equal(x[0], X[i]) and ok[0] == converged[i]
-                            x, ok, ending = _serial_primal_root(inst, x0, 1e-8 * fscale)
+                            x, ok, ending, halvings = _serial_primal_root(inst, x0, 1e-8 * fscale)
                             assert np.array_equal(x, X[i]) and ok == converged[i]
-                            endings.add(ending)
+                            endings |= {ending} | _deep_line_searches(halvings)
         return endings
 
     def test_rows_end_as_they_would_alone(self):
-        """The lockstep rounds couple no two starts, whichever way each ends."""
-        assert self._check_rows(0) == {"converged", "capped", "exhausted", "non-finite"}
+        """The lockstep rounds couple no two starts, whichever way each ends
+        and however deep each line search backtracks."""
+        assert self._check_rows(0) == {"converged", "capped", "exhausted", "non-finite",
+                                       "deep twice", "floor after deep"}
 
     def test_failed_hessian_solves_fall_back_row_by_row(self, monkeypatch):
         """With a third of the Hessians refused as singular, a stacked solve
