@@ -17,21 +17,27 @@ A critical point zeta of Pid recovers the primal critical point
 x = G(zeta)^{-1} f with equal objective value (zero duality gap), and the
 definiteness of G(zeta) decides whether that point is the global minimizer.
 
-All evaluations use one spectral factorization of G per dual point; the
-Hessian reuses it for the m back-solves.
+Every formula is written once, for a stack of k flat dual vectors
+(tau, sigma) as a (k, m) array. The kernel ``evaluate`` factorizes G with
+one stacked ``eigh`` and gives x = G^{-1} f, the measure rows at x and the
+gradient of every row; ``hessians`` reuses that factorization for the m
+back-solves and ``dual_value`` gives the value. The solvers call the kernel
+on their flat vectors; the per-point functions ``assemble``, ``grad_dual``,
+``hess_dual`` and ``eval_dual`` run the same steps on one row, so each row
+of a stack rounds exactly as that point alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .model import DualPoint, ProblemInstance, Region
-from .primal import measure_jacobian
+from .primal import measure_jacobian, measures
 
 SING_TOL = 1e-10       # eigenvalues of G this close (relatively) to zero count as zero
 SIMPLEX_SLACK = 1e-14
@@ -86,19 +92,76 @@ class ShiftedHessian:
         return U @ ((U.T @ rhs) / w[:, None])
 
 
+class Points(NamedTuple):
+    """The dual kernel's evaluation at a stack of k flat dual vectors
+    (tau, sigma). Rows outside the open simplex or with G singular have
+    ``valid`` False and NaN everywhere else."""
+
+    valid: np.ndarray  # (k,)
+    grad: np.ndarray   # (k, m)
+    U: np.ndarray      # (k, n, n): eigenvectors of G
+    w: np.ndarray      # (k, n): eigenvalues of G
+    x: np.ndarray      # (k, n): x = G^{-1} f
+    Mx: np.ndarray     # (k, m, n): rows Q_1 x, ..., B_r x
+
+
+def _factor(inst: ProblemInstance, Z: np.ndarray):
+    """G(zeta) for every row of Z (k, m) with its eigenvalues w, eigenvectors
+    U, singular threshold and nonsingular mask, and x = G^{-1} f at the
+    nonsingular rows. The only eigendecomposition of G."""
+    G = inst.curvatures(Z)
+    w, U = np.linalg.eigh(G)
+    tol = SING_TOL * (1.0 + np.abs(G).max(axis=(1, 2)))
+    nonsingular = ~(np.abs(w).min(axis=1) <= tol)  # a NaN eigenvalue passes
+    Un = U[nonsingular]
+    x = (Un @ ((Un.transpose(0, 2, 1) @ inst.f) / w[nonsingular])[..., None])[..., 0]
+    return G, w, U, tol, nonsingular, x
+
+
+def _gradients(inst: ProblemInstance, Z: np.ndarray, x: np.ndarray):
+    """Dual gradients (k, m) at the rows of Z with tau in the open simplex
+    and x = G^{-1} f (k, n), and the measure rows Mx (k, m, n) at x."""
+    p = inst.p
+    Mx, grad = measures(inst, x)  # (xi, eta), then the gradient
+    if p:
+        slack = 1.0 - Z[:, :p].sum(axis=1)
+        grad[:, :p] = grad[:, :p] + inst.d - np.log(Z[:, :p] / slack[:, None]) / inst.beta
+    if inst.r:
+        grad[:, p:] = grad[:, p:] + inst.c - Z[:, p:] / inst.alpha
+    return grad, Mx
+
+
+def evaluate(inst: ProblemInstance, Z: np.ndarray) -> Points:
+    """The dual kernel at every row of Z (k, m), with one stacked ``eigh``.
+    Each row rounds as it would alone."""
+    k, p = len(Z), inst.p
+    rows = np.arange(k)
+    if p:
+        tau = Z[:, :p]
+        rows = rows[(tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)]
+    _, w, U, _, nonsingular, x = _factor(inst, Z[rows])
+    rows = rows[nonsingular]
+    grad, Mx = _gradients(inst, Z[rows], x)
+    found = Points(np.ones(rows.size, dtype=bool), grad, U[nonsingular],
+                   w[nonsingular], x, Mx)
+    if rows.size == k:  # every row valid, the usual case: nothing to spread
+        return found
+    pts = Points(np.zeros(k, dtype=bool),
+                 *(np.full((k,) + a.shape[1:], np.nan) for a in found[1:]))
+    for mine, value in zip(pts, found):
+        mine[rows] = value
+    return pts
+
+
 def assemble(inst: ProblemInstance, zeta: DualPoint) -> ShiftedHessian:
-    """Assemble and factorize G(zeta).
+    """Assemble and factorize G(zeta): the kernel's factor step on one row.
 
     Accepts any finite zeta, including tau outside the simplex (exploratory
     evaluation); only the conjugate-dependent operations reject such points.
     """
-    G = inst.curvature(zeta.tau, zeta.sigma)
-    w, U = np.linalg.eigh(G)
-    tol = SING_TOL * (1.0 + float(np.max(np.abs(G), initial=0.0)))
-    singular = bool(np.min(np.abs(w), initial=np.inf) <= tol)
-    x_of_f = None if singular else U @ ((U.T @ inst.f) / w)
-    return ShiftedHessian(matrix=G, eigenvalues=w, eigenvectors=U,
-                          sing_tol=tol, x_of_f=x_of_f)
+    G, w, U, tol, nonsingular, x = _factor(inst, zeta.vector()[None])
+    return ShiftedHessian(matrix=G[0], eigenvalues=w[0], eigenvectors=U[0],
+                          sing_tol=float(tol[0]), x_of_f=x[0] if nonsingular[0] else None)
 
 
 def classify_region(inst: ProblemInstance, zeta: DualPoint) -> Region:
@@ -110,14 +173,6 @@ def _check_simplex(tau: np.ndarray):
         return
     if float(tau.min()) < -SIMPLEX_SLACK or float(tau.sum()) > 1.0 + SIMPLEX_SLACK:
         raise DomainError("tau outside the closed unit simplex",
-                          tau_min=float(tau.min()), tau_sum=float(tau.sum()))
-
-
-def _check_open_simplex(tau: np.ndarray):
-    if tau.size == 0:
-        return
-    if float(tau.min()) <= 0.0 or float(tau.sum()) >= 1.0:
-        raise DomainError("tau outside the open unit simplex",
                           tau_min=float(tau.min()), tau_sum=float(tau.sum()))
 
 
@@ -153,59 +208,76 @@ def eval_complementary(inst: ProblemInstance, x: np.ndarray, zeta: DualPoint) ->
             - conjugate_lse(inst, zeta.tau) - conjugate_quartic(inst, zeta.sigma))
 
 
+def dual_weight_inverse(inst: ProblemInstance, tau: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of the block weight matrix: the tau block is
+    (diag(tau)^{-1} + ee'/(1 - tau'e)) / beta, the quartic block diag(1/alpha).
+    An m x m matrix for one tau (p,), a (k, m, m) stack for a stack (k, p)."""
+    one = np.ndim(tau) < 2
+    T = np.atleast_2d(np.asarray(tau, dtype=float))
+    k, m, p = len(T), inst.m, inst.p
+    Dinv = np.zeros((k, m, m))
+    if p:
+        diag = np.zeros((k, p, p))
+        diag[:, np.arange(p), np.arange(p)] = 1.0 / T
+        slack = 1.0 - T.sum(axis=1)
+        Dinv[:, :p, :p] = (diag + (1.0 / slack)[:, None, None]) / inst.beta
+    if inst.r:
+        Dinv[:, p:, p:] = np.diag(1.0 / inst.alpha)
+    return Dinv[0] if one else Dinv
+
+
+def hessians(inst: ProblemInstance, tau: np.ndarray, F: np.ndarray,
+             U: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dual Hessians -F' G^{-1} F - D^{-1}, a (k, m, m) stack, from the
+    measure Jacobians F (k, n, m) at x = G^{-1} f, the eigenvectors U and
+    eigenvalues w of G, and the simplex weights ``tau`` (k, p)."""
+    GinvF = U @ ((U.transpose(0, 2, 1) @ F) / w[:, :, None])
+    H = -F.transpose(0, 2, 1) @ GinvF - dual_weight_inverse(inst, tau)
+    return 0.5 * (H + H.transpose(0, 2, 1))
+
+
+def dual_value(inst: ProblemInstance, z: np.ndarray, x: np.ndarray) -> float:
+    """Dual value -1/2 f'x - V1*(tau) - V2*(sigma) at the flat dual vector z
+    with x = G(z)^{-1} f."""
+    return (-0.5 * float(inst.f @ x) - conjugate_lse(inst, z[:inst.p])
+            - conjugate_quartic(inst, z[inst.p:]))
+
+
+def _defined_at(inst: ProblemInstance, zeta: DualPoint, factor: Optional[ShiftedHessian],
+                what: str, interior: bool = True) -> ShiftedHessian:
+    """``factor``, else the factorisation of G(zeta), after checking that the
+    dual ``what`` is defined at zeta: tau in the open simplex (when
+    ``interior``) and G nonsingular."""
+    if interior and not zeta.tau_interior():
+        raise DomainError("tau outside the open unit simplex",
+                          tau_min=float(zeta.tau.min()), tau_sum=float(zeta.tau.sum()))
+    G = factor if factor is not None else assemble(inst, zeta)
+    if G.is_singular:
+        raise SingularMatrixError(f"dual {what} undefined: G(zeta) singular")
+    return G
+
+
 def eval_dual(inst: ProblemInstance, zeta: DualPoint,
               factor: Optional[ShiftedHessian] = None) -> float:
     """Dual value -1/2 f' G^{-1} f - V1*(tau) - V2*(sigma)."""
-    G = factor if factor is not None else assemble(inst, zeta)
-    if G.is_singular:
-        raise SingularMatrixError("dual function undefined: G(zeta) singular")
-    return (-0.5 * float(inst.f @ G.x_of_f)
-            - conjugate_lse(inst, zeta.tau) - conjugate_quartic(inst, zeta.sigma))
+    G = _defined_at(inst, zeta, factor, "function", interior=False)
+    return dual_value(inst, zeta.vector(), G.x_of_f)
 
 
 def grad_dual(inst: ProblemInstance, zeta: DualPoint,
               factor: Optional[ShiftedHessian] = None) -> np.ndarray:
     """Analytic dual gradient (m-vector); raises on singular G or boundary tau."""
-    _check_open_simplex(zeta.tau)
-    G = factor if factor is not None else assemble(inst, zeta)
-    if G.is_singular:
-        raise SingularMatrixError("dual gradient undefined: G(zeta) singular")
-    x = G.x_of_f
-    parts = []
-    if inst.p:
-        xi = 0.5 * (inst.Q_stack @ x) @ x
-        slack = 1.0 - float(zeta.tau.sum())
-        parts.append(xi + inst.d - np.log(zeta.tau / slack) / inst.beta)
-    if inst.r:
-        eta = 0.5 * (inst.B_stack @ x) @ x
-        parts.append(eta + inst.c - zeta.sigma / inst.alpha)
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def dual_weight_inverse(inst: ProblemInstance, tau: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of the block weight matrix: the tau block is
-    (diag(tau)^{-1} + ee'/(1 - tau'e)) / beta, the quartic block diag(1/alpha)."""
-    m = inst.m
-    p = inst.p
-    Dinv = np.zeros((m, m))
-    if p:
-        slack = 1.0 - float(tau.sum())
-        Dinv[:p, :p] = (np.diag(1.0 / tau) + 1.0 / slack) / inst.beta
-    if inst.r:
-        Dinv[p:, p:] = np.diag(1.0 / inst.alpha)
-    return Dinv
+    G = _defined_at(inst, zeta, factor, "gradient")
+    return _gradients(inst, zeta.vector()[None], G.x_of_f[None])[0][0]
 
 
 def hess_dual(inst: ProblemInstance, zeta: DualPoint,
               factor: Optional[ShiftedHessian] = None) -> np.ndarray:
     """Analytic dual Hessian -F' G^{-1} F - D^{-1} at x = G^{-1} f."""
-    _check_open_simplex(zeta.tau)
-    G = factor if factor is not None else assemble(inst, zeta)
-    if G.is_singular:
-        raise SingularMatrixError("dual Hessian undefined: G(zeta) singular")
+    G = _defined_at(inst, zeta, factor, "Hessian")
     F = measure_jacobian(inst, G.x_of_f)
-    H = -F.T @ G.solve(F) - dual_weight_inverse(inst, zeta.tau)
-    return 0.5 * (H + H.T)
+    return hessians(inst, zeta.tau[None], F[None], G.eigenvectors[None],
+                    G.eigenvalues[None])[0]
 
 
 def recover_primal(inst: ProblemInstance, zeta: DualPoint) -> np.ndarray:

@@ -156,23 +156,18 @@ class ProblemInstance:
         return _readonly([t.alpha for t in self.quartic_terms])
 
     def curvature(self, tau: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """A + sum_i tau_i Q_i + sum_i sigma_i B_i."""
-        G = np.array(self.A)
-        if self.p:
-            G += np.tensordot(np.asarray(tau, dtype=float), self.Q_stack, axes=1)
-        if self.r:
-            G += np.tensordot(np.asarray(sigma, dtype=float), self.B_stack, axes=1)
-        return G
+        """A + sum_i tau_i Q_i + sum_i sigma_i B_i: one row of :meth:`curvatures`."""
+        z = np.concatenate([np.ravel(tau), np.ravel(sigma)]).astype(float)
+        return self.curvatures(z[None])[0]
 
     def curvatures(self, Z: np.ndarray) -> np.ndarray:
         """G(zeta) for every row (tau, sigma) of Z (k, m), as a (k, n, n) stack.
 
-        The blocks are summed as :meth:`curvature` sums them, and each block
-        product is a stacked matmul: that rounds exactly like the tensordot of
-        a single point, where a 2-D dot over all rows does not.
+        Each block product is a stacked matmul, so every row rounds as it
+        would alone, where a 2-D dot over all rows does not.
         """
         k, n, p = len(Z), self.n, self.p
-        G = self.A
+        G = self.A[None]
         if p:
             G = G + (Z[:, None, :p] @ self.Q_stack.reshape(p, n * n)).reshape(k, n, n)
         if self.r:

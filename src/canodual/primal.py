@@ -109,19 +109,10 @@ def duality_map(inst: ProblemInstance, x: np.ndarray) -> DualPoint:
     return DualPoint.from_vector(_constitutive(inst, _one_row(x))[0][0], inst.p)
 
 
-def jacobians(inst: ProblemInstance, Mx: np.ndarray) -> np.ndarray:
-    """The (k, n, m) stack of n x m matrices whose columns are the rows of
-    Mx (k, m, n), each laid out as :func:`measure_jacobian` always laid one
-    out: column-major, except when it stacks two single columns. The dual
-    Hessian's F' G^{-1} F has rounded by that layout at n >= 16."""
-    F = Mx.transpose(0, 2, 1)
-    return np.ascontiguousarray(F) if inst.p == 1 and inst.r == 1 else F
-
-
 def measure_jacobian(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """n x m matrix whose columns are the measure gradients
     Q_1 x, ..., Q_p x, B_1 x, ..., B_r x."""
-    return jacobians(inst, measures(inst, _one_row(x))[0])[0]
+    return measures(inst, _one_row(x))[0][0].T
 
 
 def weight_hessian(inst: ProblemInstance, tau: np.ndarray) -> np.ndarray:
@@ -162,7 +153,7 @@ def hess_primal(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """
     X, one = _rows(x)
     Z, Mx = _constitutive(inst, X)
-    F = jacobians(inst, Mx)
+    F = Mx.transpose(0, 2, 1)
     H = inst.curvatures(Z) + F @ weight_hessian(inst, Z[:, :inst.p]) @ F.transpose(0, 2, 1)
     H = 0.5 * (H + H.transpose(0, 2, 1))
     return H[0] if one else H

@@ -15,13 +15,14 @@ The primal-seeded starts come from a primal Newton search that also runs
 in lockstep, on one (k, n) array of points, through the row-stacked
 ``primal.grad_primal`` and ``primal.hess_primal``.
 
-Every dual evaluation inside the solvers goes through one stacked kernel
-(``_evaluate`` and ``_hessians``) on a (k, m) array of flat dual vectors:
-the lockstep multistart, the ascent and its interior start (one row at a
-time), and the refinement of the m = 1 scan. Only ``make_pair`` and
-``triality_classify``, at the API edge, evaluate a ``DualPoint`` through
-the per-point functions of ``dual``. In both lockstep searches no start
-reads another's data, so each ends bitwise as it would alone.
+Every dual evaluation inside the solvers calls the stacked kernel of
+``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m) array of
+flat dual vectors: the lockstep multistart, the ascent and its interior
+start (one row at a time), and the refinement of the m = 1 scan.
+``make_pair`` and ``triality_classify``, at the API edge, take a
+``DualPoint`` and call the per-point functions of ``dual``. In both
+lockstep searches no start reads another's data, so each ends bitwise as
+it would alone, and a search ends when no start is left running.
 
 Both lockstep searches backtrack in batches: each round evaluates a batch
 of halvings of every running start's first trial step, sized from that
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -80,88 +81,11 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-# ---------------------------------------------------------------------------
-# stacked dual kernel: every evaluation inside the solvers
-
-class _Points(NamedTuple):
-    """Dual gradients at a stack of k points and the factorisation of G
-    behind them. Rows outside the open simplex or with G singular have
-    ``valid`` False and NaN everywhere else."""
-
-    valid: np.ndarray  # (k,)
-    grad: np.ndarray   # (k, m)
-    U: np.ndarray      # (k, n, n): eigenvectors of G
-    w: np.ndarray      # (k, n): eigenvalues of G
-    Mx: np.ndarray     # (k, m, n): rows Q_1 x, ..., B_r x at x = G^{-1} f
-
-
-def _evaluate(inst: ProblemInstance, Z: np.ndarray) -> _Points:
-    """Dual gradient at every row of Z with one stacked ``eigh``.
-
-    Every row is computed with the same operations, in the same order, as
-    ``dual.assemble`` and ``dual.grad_dual`` apply to one point, so the
-    results agree with them bit for bit.
-    """
-    k, m, n, p = len(Z), inst.m, inst.n, inst.p
-    pts = _Points(np.zeros(k, dtype=bool), np.full((k, m), np.nan),
-                  np.full((k, n, n), np.nan), np.full((k, n), np.nan),
-                  np.full((k, m, n), np.nan))
-    rows = np.arange(k)
-    if p:
-        tau = Z[:, :p]
-        rows = rows[(tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)]
-    if rows.size == 0:
-        return pts
-    G = inst.curvatures(Z[rows])
-    w, U = np.linalg.eigh(G)
-    tol = _dual.SING_TOL * (1.0 + np.abs(G).max(axis=(1, 2)))
-    nonsingular = ~(np.abs(w).min(axis=1) <= tol)  # NaN passes, as in dual.assemble
-    rows, w, U = rows[nonsingular], w[nonsingular], U[nonsingular]
-    x = (U @ ((U.transpose(0, 2, 1) @ inst.f) / w)[..., None])[..., 0]
-    z = Z[rows]
-    Mx, grad = _primal.measures(inst, x)  # (xi, eta), then the gradient
-    if p:
-        slack = 1.0 - z[:, :p].sum(axis=1)
-        grad[:, :p] = grad[:, :p] + inst.d - np.log(z[:, :p] / slack[:, None]) / inst.beta
-    if inst.r:
-        grad[:, p:] = grad[:, p:] + inst.c - z[:, p:] / inst.alpha
-    for mine, value in zip(pts, (True, grad, U, w, Mx)):
-        mine[rows] = value
-    return pts
-
-
-def _hessians(inst: ProblemInstance, tau: np.ndarray, pts: _Points) -> np.ndarray:
-    """Dual Hessians -F' G^{-1} F - D^{-1} at the valid points ``pts`` with
-    simplex weights ``tau`` (k, p), computed as ``dual.hess_dual`` does."""
-    k, m, p = len(tau), inst.m, inst.p
-    F = _primal.jacobians(inst, pts.Mx)
-    GinvF = pts.U @ ((pts.U.transpose(0, 2, 1) @ F) / pts.w[:, :, None])
-    Dinv = np.zeros((k, m, m))
-    if p:
-        diag = np.zeros((k, p, p))
-        diag[:, np.arange(p), np.arange(p)] = 1.0 / tau
-        slack = 1.0 - tau.sum(axis=1)
-        Dinv[:, :p, :p] = (diag + (1.0 / slack)[:, None, None]) / inst.beta
-    if inst.r:
-        Dinv[:, p:, p:] = np.diag(1.0 / inst.alpha)
-    H = -F.transpose(0, 2, 1) @ GinvF - Dinv
-    return 0.5 * (H + H.transpose(0, 2, 1))
-
-
-def _positive_point(inst: ProblemInstance, z: np.ndarray) -> Optional[_Points]:
+def _positive_point(inst: ProblemInstance, z: np.ndarray) -> Optional[_dual.Points]:
     """The one-row evaluation at z when tau is interior and G(z) is positive
     definite, else None."""
-    pts = _evaluate(inst, z[None])
+    pts = _dual.evaluate(inst, z[None])
     return pts if pts.valid[0] and pts.w[0, 0] > 0.0 else None
-
-
-def _dual_value(inst: ProblemInstance, z: np.ndarray, pts: _Points) -> float:
-    """Dual value at z from its one-row evaluation, rounded as
-    ``dual.eval_dual`` rounds it."""
-    U, w = pts.U[0], pts.w[0]
-    x = U @ ((U.T @ inst.f) / w)
-    return (-0.5 * float(inst.f @ x) - _dual.conjugate_lse(inst, z[:inst.p])
-            - _dual.conjugate_quartic(inst, z[inst.p:]))
 
 
 def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float) -> np.ndarray:
@@ -292,7 +216,7 @@ def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> list[np.ndarr
         grid = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
 
     def deriv_at(s: float):
-        g = float(_evaluate(inst, np.array([[s]])).grad[0, 0])
+        g = float(_dual.evaluate(inst, np.array([[s]])).grad[0, 0])
         return g if np.isfinite(g) else None
 
     vals = _univariate_scan_values(inst, grid)
@@ -309,7 +233,7 @@ def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> list[np.ndarr
 
 
 def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
-                    rng: np.random.Generator) -> Optional[tuple[np.ndarray, _Points]]:
+                    rng: np.random.Generator) -> Optional[tuple[np.ndarray, _dual.Points]]:
     """A point with tau interior and G(zeta) positive definite, with its
     one-row evaluation, or None."""
     tau0 = np.full(inst.p, 0.5 / max(inst.p, 1))[:inst.p]
@@ -339,7 +263,7 @@ def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 # Newton drivers
 
-def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _Points,
+def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _dual.Points,
                    cfg: SolverConfig):
     """Damped Newton maximization of the dual inside the positive region,
     from z with its one-row evaluation ``pts``. A positive-definite trial is
@@ -349,12 +273,13 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _Points,
     Returns (z, pts, iterations, converged) at the last accepted point.
     """
     p = inst.p
-    value = _dual_value(inst, z, pts)
+    value = _dual.dual_value(inst, z, pts.x[0])
     for it in range(1, cfg.max_iter + 1):
         g = pts.grad[0]
         if float(np.max(np.abs(g))) <= GRAD_TOL:
             return z, pts, it, True
-        H = _hessians(inst, z[None, :p], pts)[0]
+        H = _dual.hessians(inst, z[None, :p], pts.Mx.transpose(0, 2, 1),
+                           pts.U, pts.w)[0]
         try:
             step = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
@@ -368,7 +293,7 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _Points,
             trial = z + t * step
             trial_pts = _positive_point(inst, trial)
             if trial_pts is not None:
-                trial_value = _dual_value(inst, trial, trial_pts)
+                trial_value = _dual.dual_value(inst, trial, trial_pts.x[0])
                 if (trial_value >= value + 1e-4 * t * slope or
                         _half_sq_norms(trial_pts.grad)[0] <= merit * (1.0 - 2e-4 * t)):
                     break
@@ -379,12 +304,12 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _Points,
     return z, pts, cfg.max_iter, float(np.max(np.abs(pts.grad[0]))) <= GRAD_TOL
 
 
-def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _Points):
+def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _dual.Points):
     """Newton steps -J^{-1} g at the valid points ``pts``, with steepest
     descent -J g on the merit function, scaled to unit max-norm, where the
     Newton step is not finite. Returns (steps, flat): ``flat`` marks the
     points where that descent direction is zero."""
-    J = _hessians(inst, tau, pts)
+    J = _dual.hessians(inst, tau, pts.Mx.transpose(0, 2, 1), pts.U, pts.w)
     g = pts.grad
     steps = _solve_rows(J, -g)
     flat = np.zeros(len(g), dtype=bool)
@@ -433,7 +358,8 @@ def _trial_round(running: np.ndarray, tried: np.ndarray, last: np.ndarray,
     its previous step; it is t0 alone when that step took the full t0 (or
     there was none). Each later batch doubles the halvings tried so far,
     with at least ``_HALVINGS_PER_ROUND``. A start whose next trial is at
-    most ``floor`` has exhausted its backtracking and stops running.
+    most ``floor`` has exhausted its backtracking and stops running, so the
+    round has no trials exactly when no start is left running.
 
     The batch decides only how many trials share a kernel call: every trial
     is the same t0 * 0.5**h and its stacked row is evaluated independently
@@ -482,7 +408,7 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
     k, p = len(Z), inst.p
     iters = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
-    pts = _evaluate(inst, Z)
+    pts = _dual.evaluate(inst, Z)
     running = pts.valid.copy()
     fresh = running.copy()          # at a new point, due for a Newton step
     step = np.zeros_like(Z)
@@ -490,7 +416,7 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
     tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
     last = np.zeros(k, dtype=int)   # halving accepted on the previous step
     merit = np.zeros(k)
-    while running.any():
+    while True:
         S = np.flatnonzero(fresh)
         fresh[:] = False
         iters[S] += 1
@@ -501,15 +427,17 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
         running[S[capped | ~np.isfinite(ginf) | converged[S]]] = False
         S = S[running[S]]
         if S.size:
-            dz, flat = _directions(inst, Z[S, :p], _Points(*(a[S] for a in pts)))
+            dz, flat = _directions(inst, Z[S, :p], _dual.Points(*(a[S] for a in pts)))
             running[S[flat]] = False
             step[S] = dz
             t0[S] = np.minimum(1.0, _tau_step_caps(Z[S, :p], dz[:, :p], BOUNDARY_MARGIN))
             tried[S] = 0
             merit[S] = _half_sq_norms(pts.grad[S])
         owner, t, halving = _trial_round(running, tried, last, t0, 1e-16)
+        if owner.size == 0:  # no start is running
+            return Z, iters, converged
         Zt = Z[owner] + t[:, None] * step[owner]
-        trial = _evaluate(inst, Zt)
+        trial = _dual.evaluate(inst, Zt)
         ok = trial.valid & np.all(np.isfinite(trial.grad), axis=1)
         ok[ok] = _half_sq_norms(trial.grad[ok]) <= merit[owner[ok]] * (1.0 - 2e-4 * t[ok])
         accepted, first = _first_acceptable(owner, ok)
@@ -518,7 +446,6 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
         for mine, theirs in zip(pts, trial):
             mine[accepted] = theirs[first]
         fresh[accepted] = True
-    return Z, iters, converged
 
 
 # Newton steps of each primal-seeded start
@@ -551,7 +478,7 @@ def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
     tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
     last = np.zeros(k, dtype=int)   # halving accepted on the previous step
     merit = np.zeros(k)
-    while running.any():
+    while True:
         S = fresh.nonzero()[0]
         if S.size:
             fresh[S] = False
@@ -571,6 +498,8 @@ def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
                 tried[S] = 0
                 merit[S] = _half_sq_norms(gS)
         owner, t, halving = _trial_round(running, tried, last, t0, 1e-14)
+        if owner.size == 0:  # no start is running
+            return X, converged
         Xt = X[owner] + t[:, None] * step[owner]
         gt = _primal.grad_primal(inst, Xt)
         ok = np.isfinite(gt).all(axis=1)
@@ -580,7 +509,6 @@ def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
         X[accepted] = Xt[first]
         g[accepted] = gt[first]
         fresh[accepted] = True
-    return X, converged
 
 
 def _dedup(points: Iterable[np.ndarray]) -> list[np.ndarray]:

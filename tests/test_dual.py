@@ -254,3 +254,54 @@ class TestRegionAndRecovery:
         inst = rand_instance(rng, n=3, f_scale=0.0)
         zeta = rand_feasible_zeta(rng, inst)
         assert np.allclose(recover_primal(inst, zeta), 0.0, atol=1e-14)
+
+
+def _singular_instance():
+    # G(0) = diag(1, -2, 0)
+    return validate(ProblemInstance(
+        A=np.diag([1.0, -2.0, 0.0]), f=np.ones(3),
+        quartic_terms=(QuarticTerm(B=np.zeros((3, 3)), c=0.0, alpha=1.0),)))
+
+
+class TestPointContracts:
+    """The domain of the per-point functions: the derivatives need tau in
+    the open simplex, every evaluation needs G nonsingular, and assembly
+    takes any tau."""
+
+    @pytest.mark.parametrize("fn", [grad_dual, hess_dual])
+    @pytest.mark.parametrize("tau", [[0.0, 0.5], [0.5, 0.0], [0.4, 0.6],
+                                     [-0.1, 0.3], [0.7, 0.6], [1.5, -0.2]])
+    def test_derivatives_reject_tau_off_the_open_simplex(self, fn, tau):
+        inst = rand_instance(np.random.default_rng(3), n=2, p=2, r=1)
+        with pytest.raises(DomainError):
+            fn(inst, zp(tau, [0.3]))
+
+    @pytest.mark.parametrize("fn", [eval_dual, grad_dual, hess_dual])
+    @pytest.mark.parametrize("inst, zeta", [
+        (fixtures.example1(), zp([0.5], [-0.25])),  # G = 0.5 - 0.5 = 0
+        (_singular_instance(), zp(sigma=[0.0])),
+    ])
+    def test_singular_matrix_rejected(self, fn, inst, zeta):
+        assert assemble(inst, zeta).is_singular
+        with pytest.raises(SingularMatrixError):
+            fn(inst, zeta)
+
+    @pytest.mark.parametrize("tau", [[1.5, 0.2], [-0.3, 0.4], [0.0, 1.0]])
+    def test_assemble_accepts_tau_off_the_simplex(self, tau):
+        inst = rand_instance(np.random.default_rng(5), n=3, p=2, r=1)
+        G = assemble(inst, zp(tau, [0.7]))
+        expected = (inst.A + tau[0] * inst.Q_stack[0] + tau[1] * inst.Q_stack[1]
+                    + 0.7 * inst.B_stack[0])
+        assert np.allclose(G.matrix, expected, atol=1e-14)
+        assert np.allclose(G.matrix @ G.x_of_f, inst.f, atol=1e-10)
+
+    def test_stacked_weight_inverse_matches_each_point(self):
+        rng = np.random.default_rng(9)
+        for m in range(1, 4):
+            for p in range(m + 1):
+                inst = rand_instance(rng, n=2, p=p, r=m - p)
+                T = np.array([rand_feasible_zeta(rng, inst).tau for _ in range(6)])
+                Dinv = dual_weight_inverse(inst, T)
+                assert Dinv.shape == (6, m, m)
+                for i, tau in enumerate(T):
+                    assert np.array_equal(Dinv[i], dual_weight_inverse(inst, tau))

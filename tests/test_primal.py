@@ -220,8 +220,8 @@ def _pointwise_derivatives(inst, x):
 class TestStacks:
     def test_stacked_derivatives_match_pointwise(self):
         # bit for bit, so the lockstep harvest takes the serial decisions;
-        # n = 16 with p = r = 1 is where the dual Hessian has rounded by the
-        # memory layout of F
+        # n = 16 with p = r = 1 is where F's memory layout could change how
+        # the Hessians round
         rng = np.random.default_rng(16)
         shapes = [(n, p, m - p) for n in (1, 2, 3, 4) for m in (1, 2, 3)
                   for p in range(m + 1)] + [(16, 1, 1), (16, 2, 1), (16, 0, 2)]

@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from canodual import fixtures, solver
+from canodual import dual, fixtures, primal, solver
 from canodual.errors import HardCaseError, NotCriticalError
 from canodual.model import (
     Classification,
@@ -13,13 +13,19 @@ from canodual.model import (
     Region,
     validate,
 )
-from canodual.dual import BOUNDARY_MARGIN, GRAD_TOL, assemble, grad_dual, hess_dual
+from canodual.dual import (
+    BOUNDARY_MARGIN,
+    GRAD_TOL,
+    assemble,
+    evaluate,
+    grad_dual,
+    hess_dual,
+    hessians,
+)
 from canodual.oracle import grid_global_min
 from canodual.primal import eval_primal, grad_primal, hess_primal
 from canodual.solver import (
     SolverConfig,
-    _evaluate,
-    _hessians,
     _newton_roots,
     _primal_roots,
     _sample_starts,
@@ -356,20 +362,42 @@ def _deep_line_searches(halvings):
 class TestLockstepRoots:
     def test_stacked_evaluation_matches_pointwise(self):
         # bit for bit, so the lockstep search and the ascent take the serial
-        # decisions; at n = 16 the product F'G^{-1}F rounds by F's layout
+        # decisions; n = 16 is where F's memory layout could change how
+        # F'G^{-1}F rounds
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 4, 16):
             for m in range(1, 4):
                 for p in range(m + 1):
                     inst = rand_instance(rng, n=n, p=p, r=m - p)
                     Z = np.array([rand_feasible_zeta(rng, inst).vector() for _ in range(5)])
-                    pts = _evaluate(inst, Z)
-                    H = _hessians(inst, Z[:, :p], pts)
+                    pts = evaluate(inst, Z)
+                    H = hessians(inst, Z[:, :p], pts.Mx.transpose(0, 2, 1), pts.U, pts.w)
                     assert pts.valid.all()
                     for i, z in enumerate(Z):
                         zeta = DualPoint.from_vector(z, p)
+                        assert np.array_equal(pts.x[i], assemble(inst, zeta).x_of_f)
                         assert np.array_equal(pts.grad[i], grad_dual(inst, zeta))
                         assert np.array_equal(H[i], hess_dual(inst, zeta))
+
+    def test_invalid_rows_are_flagged(self):
+        """A row outside the open simplex or with G singular comes back with
+        ``valid`` False and NaN everywhere else; the other rows are as in a
+        stack without it."""
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3):
+            for m in range(1, 4):
+                for p in range(m + 1):
+                    inst = rand_instance(rng, n=n, p=p, r=m - p)
+                    bad = np.full(m, 1.5) if p else _singular_start(inst)
+                    if bad is None:
+                        continue
+                    Z = np.array([rand_feasible_zeta(rng, inst).vector() for _ in range(3)])
+                    mixed = evaluate(inst, np.vstack([Z[:1], bad, Z[1:]]))
+                    alone = evaluate(inst, Z)
+                    assert mixed.valid.tolist() == [True, False, True, True]
+                    for a, b in zip(mixed[1:], alone[1:]):
+                        assert np.isnan(a[1]).all()
+                        assert np.array_equal(np.delete(a, 1, axis=0), b)
 
     def test_rows_end_as_they_would_alone(self):
         """Running k starts in one call gives bitwise the result of k
@@ -404,6 +432,31 @@ class TestLockstepRoots:
         assert endings == {"rejected", "converged", "capped", "stalled",
                            "deep twice", "floor after deep"}
 
+    def test_no_search_evaluates_an_empty_stack(self, monkeypatch):
+        """Both lockstep searches stop once no start is running, without a
+        last call of the kernel or the primal layer on no rows."""
+        calls = {}
+
+        def nonempty(module, name):
+            fn = getattr(module, name)
+
+            def counted(inst, stack):
+                assert len(stack) > 0, f"{name} called on no rows"
+                calls[name] = calls.get(name, 0) + 1
+                return fn(inst, stack)
+            monkeypatch.setattr(module, name, counted)
+
+        nonempty(dual, "evaluate")
+        nonempty(primal, "grad_primal")
+        nonempty(primal, "hess_primal")
+        rng = np.random.default_rng(4)
+        cfg = SolverConfig(num_starts=8, max_iter=40)
+        for n in (1, 2, 3):
+            for m in (1, 2):
+                for p in range(m + 1):
+                    find_critical_points(rand_instance(rng, n=n, p=p, r=m - p), cfg)
+        assert set(calls) == {"evaluate", "grad_primal", "hess_primal"}
+
     def test_batches_follow_each_start_history(self):
         """Each start's batch comes from its own tried count and previous
         acceptance: t0 alone after a full step, halvings 0 to 8 past the
@@ -433,13 +486,15 @@ class TestLockstepRoots:
         round. Once the direction is NaN, no trial is
         acceptable: after h = 10 the search tries 19, 19 and 38 halvings,
         past the floor at halving 53, and stops in a fourth round; after
-        h = 3 it tries 12, 12, 24 and 48 and stops in a fifth."""
+        h = 3 it tries 12, 12, 24 and 48 and stops in a fifth. A round in
+        which the last running start stops has no trial and makes no
+        kernel call."""
         rng = np.random.default_rng(0)
         cfg = SolverConfig(num_starts=6, max_iter=80)
         inst = rand_instance(rng, n=2, p=0, r=1)
         Z, _, converged = _newton_roots(inst, _sample_starts(inst, cfg, rng), cfg)
         z0 = Z[converged][0] + 1e-3
-        directions, evaluate = solver._directions, solver._evaluate
+        directions, kernel = solver._directions, dual.evaluate
         trial_round, first_acceptable = solver._trial_round, solver._first_acceptable
         seen = {"calls": 0, "steps": 0, "halvings": None, "accepted": [],
                 "stall_after": cfg.max_iter}
@@ -450,10 +505,11 @@ class TestLockstepRoots:
             scale = 1.5 * 2.0 ** h if seen["steps"] <= seen["stall_after"] else np.nan
             return step * scale, flat
 
-        def counted(*args):
+        def counted(inst, Z):
             seen["calls"] += 1
             assert seen["calls"] < 200, "the line search never reached the floor"
-            return evaluate(*args)
+            assert len(Z) > 0, "the kernel was called on no rows"
+            return kernel(inst, Z)
 
         def recorded_round(*args):
             owner, t, seen["halvings"] = trial_round(*args)
@@ -465,20 +521,20 @@ class TestLockstepRoots:
             return accepted, first
 
         monkeypatch.setattr(solver, "_directions", scaled)
-        monkeypatch.setattr(solver, "_evaluate", counted)
+        monkeypatch.setattr(dual, "evaluate", counted)
         monkeypatch.setattr(solver, "_trial_round", recorded_round)
         monkeypatch.setattr(solver, "_first_acceptable", recorded_acceptance)
         _, iters, converged = _newton_roots(inst, z0[None], cfg)
         steps = len(seen["accepted"])
         assert converged[0] and steps == iters[0] - 1 > 10
         assert seen["accepted"] == [h] * steps
-        # the first evaluation, the rounds, and the round that finds the root
-        assert seen["calls"] == 1 + first_rounds + (steps - 1) + 1
+        # the first evaluation, then one call per round that has a trial
+        assert seen["calls"] == 1 + first_rounds + (steps - 1)
 
         seen.update(calls=0, steps=0, accepted=[], stall_after=5)
         _, iters, converged = _newton_roots(inst, z0[None], cfg)
         assert not converged[0] and seen["accepted"] == [h] * 5
-        assert seen["calls"] == 1 + first_rounds + 4 + floor_rounds
+        assert seen["calls"] == 1 + first_rounds + 4 + (floor_rounds - 1)
 
 
 def _serial_primal_root(inst, x, tol):
