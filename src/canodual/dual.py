@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .model import DualPoint, ProblemInstance, Region
+from .model import DualPoint, ProblemInstance, Region, SpectralData
 from .primal import measure_jacobian, measures
 
 SING_TOL = 1e-10       # eigenvalues of G this close (relatively) to zero count as zero
@@ -82,14 +82,17 @@ class ShiftedHessian:
     def is_singular(self) -> bool:
         return self.inertia[2] > 0
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.is_singular:
-            raise SingularMatrixError("shifted curvature matrix is singular",
-                                      min_abs_eig=float(np.min(np.abs(self.eigenvalues))))
-        U, w = self.eigenvectors, self.eigenvalues
-        if rhs.ndim == 1:
-            return U @ ((U.T @ rhs) / w)
-        return U @ ((U.T @ rhs) / w[:, None])
+    @staticmethod
+    def from_spectrum(sd: SpectralData, A: np.ndarray, shift: float) -> "ShiftedHessian":
+        """The factorisation of G = A + shift I read off the spectral data
+        of A (eigenvalues lambda + shift, the same eigenvectors), with the
+        singular threshold of :func:`assemble`: no eigendecomposition."""
+        G = A + shift * np.eye(len(A))
+        w = sd.lambdas + shift
+        tol = SING_TOL * (1.0 + float(np.abs(G).max()))
+        x = None if np.abs(w).min() <= tol else sd.U @ (sd.f_hat / w)
+        return ShiftedHessian(matrix=G, eigenvalues=w, eigenvectors=sd.U,
+                              sing_tol=tol, x_of_f=x)
 
 
 class Points(NamedTuple):

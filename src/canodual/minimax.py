@@ -3,8 +3,9 @@
     min_x  max( 1/2 x'A1 x - f1'x + d1,  1/2 x'A2 x - f2'x + d2 )
 
 with A2 - A1 positive definite. Factoring the first branch out of the
-smoothed maximum and whitening the difference quadratic with
-x = (A2-A1)^{-1/2} y + (A2-A1)^{-1} (f2-f1) yields the canonical form
+smoothed maximum and whitening the difference quadratic with its Cholesky
+factor A2 - A1 = LL', x = L^{-T} y + (A2-A1)^{-1} (f2-f1), yields the
+canonical form
 
     1/2 y'Ay - f'y + (1/beta) log(1 + exp(beta (1/2 y'y + d)))  (+ constant),
 
@@ -20,9 +21,10 @@ smoothed minimizer. The remaining critical points of the univariate dual
 are enumerated by the engine's enclosure search over (0, 1) minus the
 spectrum poles (bisection that drops every sub-interval whose bounds on
 the dual's slope exclude zero) and classified through the general
-machinery. This module keeps the instance and canonical-form types, the
-solves, and the (d, beta) forms of the dual functions and the existence
-check.
+machinery, each on a factorisation of A + tau I read off the spectrum of
+A: a solve makes one Cholesky factorisation and one eigendecomposition.
+This module keeps the instance and canonical-form types, the solves, and
+the (d, beta) forms of the dual functions and the existence check.
 
 Smoothing error is one-sided: max <= smoothed <= max + log(2)/beta.
 """
@@ -35,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import univariate
+from .dual import ShiftedHessian
 from .errors import (
     NonPositiveParameterError,
     NotPositiveDefiniteError,
@@ -91,7 +94,7 @@ class MinimaxInstance:
 def validate_minimax(mm: MinimaxInstance, check_difference: bool = True) -> MinimaxInstance:
     """The instance with symmetrized curvatures, or an input error.
     ``check_difference=False`` leaves the test that A2 - A1 is positive
-    definite to a caller that makes it on its own eigendecomposition."""
+    definite to a caller that makes it on its own Cholesky factorisation."""
     n = mm.n
     A1 = _symmetrized("A1", mm.A1, n)
     A2 = _symmetrized("A2", mm.A2, n)
@@ -102,24 +105,27 @@ def validate_minimax(mm: MinimaxInstance, check_difference: bool = True) -> Mini
     if not all(np.all(np.isfinite(v)) for v in (mm.f1, mm.f2, [mm.d1, mm.d2])):
         raise ShapeMismatchError("non-finite data")
     if check_difference:
-        _require_positive_difference(np.linalg.eigvalsh(A2 - A1))
+        _whiten_difference(A2 - A1)
     return MinimaxInstance(A1=A1, A2=A2, f1=mm.f1, f2=mm.f2,
                            d1=float(mm.d1), d2=float(mm.d2), beta=float(mm.beta))
 
 
-def _require_positive_difference(w: np.ndarray) -> None:
-    """Raise unless the ascending eigenvalues w of A2 - A1 are positive."""
-    if w[0] <= 1e-10 * (1.0 + abs(w[-1])):
-        raise NotPositiveDefiniteError(
-            "branch difference A2 - A1 must be positive definite",
-            min_eig=float(w[0]))
+def _whiten_difference(delta: np.ndarray) -> np.ndarray:
+    """W with W' delta W = I for the branch difference delta = A2 - A1;
+    raises :class:`NotPositiveDefiniteError` unless its eigenvalues have
+    w_min > 1e-10 (1 + |w_max|)."""
+    return univariate.whiten(delta, "branch difference A2 - A1", rtol=1e-10,
+                             error=NotPositiveDefiniteError)
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     """Whitened smoothed problem with the affine transform back to the
     original coordinates: x = basis @ y + offset, original value =
-    canonical value + value_shift."""
+    canonical value + value_shift. ``basis`` is L^{-T} for the Cholesky
+    factor LL' of the whitened weight (A2 - A1, or the log-sum-exp weight):
+    a rotation of the symmetric root's coordinates, with the same spectrum
+    and the same solutions."""
 
     A: np.ndarray
     f: np.ndarray
@@ -148,23 +154,21 @@ class CanonicalForm:
 
 def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     """Whiten the branch difference and fold the base branch constant into
-    the value shift. One eigendecomposition of the difference serves the
-    definiteness test and the whitening. The test admits only
+    the value shift. One Cholesky factorisation of the difference,
+    delta = LL', serves the definiteness test, the whitening W = L^{-T}
+    and the offset, since delta^{-1} = WW'. The test admits only
     w_min > 1e-10 (1 + w_max), which bounds the condition number of the
     difference below 1e10, so an admitted difference needs no warning."""
     mm = validate_minimax(mm, check_difference=False)
-    delta = mm.A2 - mm.A1
     g = mm.f2 - mm.f1
-    w, V = np.linalg.eigh(delta)
-    _require_positive_difference(w)
-    inv_root = univariate.inverse_root(w, V)            # delta^{-1/2}
-    offset = V @ ((V.T @ g) / w)                        # delta^{-1} g
-    A = inv_root @ mm.A1 @ inv_root
-    f = inv_root @ (mm.f1 - mm.A1 @ offset)
+    W = _whiten_difference(mm.A2 - mm.A1)
+    offset = W @ (W.T @ g)                              # delta^{-1} g
+    A = W.T @ mm.A1 @ W
+    f = W.T @ (mm.f1 - mm.A1 @ offset)
     d = mm.d2 - mm.d1 - 0.5 * float(g @ offset)
     shift = 0.5 * float(offset @ mm.A1 @ offset) - float(mm.f1 @ offset) + mm.d1
     return CanonicalForm(A=0.5 * (A + A.T), f=f, d=d, beta=mm.beta,
-                         basis=inv_root, offset=offset, value_shift=shift)
+                         basis=W, offset=offset, value_shift=shift)
 
 
 def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
@@ -178,9 +182,9 @@ def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
     if np.max(np.abs(term.Q - np.eye(n))) <= 1e-14:
         return CanonicalForm(A=inst.A, f=inst.f, d=term.d, beta=inst.beta,
                              basis=np.eye(n), offset=np.zeros(n), value_shift=0.0)
-    inv_root = univariate.whiten(term.Q, "log-sum-exp weight")
-    return CanonicalForm(A=inv_root @ inst.A @ inv_root, f=inv_root @ inst.f,
-                         d=term.d, beta=inst.beta, basis=inv_root,
+    W = univariate.whiten(term.Q, "log-sum-exp weight")
+    return CanonicalForm(A=W.T @ inst.A @ W, f=W.T @ inst.f,
+                         d=term.d, beta=inst.beta, basis=W,
                          offset=np.zeros(n), value_shift=0.0)
 
 
@@ -221,7 +225,9 @@ def _solve_canonical(can: CanonicalForm) -> SolveReport:
     problem = can.to_problem()
     pairs = []
     for tau in roots:
-        pair = make_pair(problem, DualPoint(tau=np.array([tau]), sigma=np.zeros(0)))
+        # G = A + tau I has the eigenvectors of A: no eigendecomposition per pair
+        pair = make_pair(problem, DualPoint(tau=np.array([tau]), sigma=np.zeros(0)),
+                         factor=ShiftedHessian.from_spectrum(sd, can.A, tau))
         if pair is None:
             continue
         pairs.append(replace(pair, x=can.to_original(pair.x),

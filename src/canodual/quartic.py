@@ -17,9 +17,10 @@ easy instances from the hard ones up front, and brackets the unique root.
 This module keeps the instance type, the solve, and the (alpha, c) forms
 of the dual functions and the existence check that the solve calls.
 
-General positive-definite quartic weights are handled by whitening:
-y = B^{1/2} x turns the weight into the identity without changing objective
-values, and the solution is mapped back through ``basis`` = B^{-1/2}.
+General positive-definite quartic weights are handled by whitening: with
+the Cholesky factor B = LL', y = L'x turns the weight into the identity
+without changing objective values, and the solution is mapped back through
+``basis`` = L^{-T}.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from .model import (
 
 @dataclass(frozen=True)
 class QuarticInstance:
-    """Whitened data (A, f, alpha, c); ``basis`` maps whitened solutions back
-    to original coordinates (None means identity)."""
+    """Whitened data (A, f, alpha, c); ``basis`` W = L^{-T}, from the
+    Cholesky factor B = LL' of the original weight, maps whitened solutions
+    back to original coordinates (None means identity)."""
 
     A: np.ndarray
     f: np.ndarray
@@ -86,10 +88,9 @@ class QuarticInstance:
         term = inst.quartic_terms[0]
         if np.max(np.abs(term.B - np.eye(inst.n))) <= 1e-14:
             return QuarticInstance(A=inst.A, f=inst.f, alpha=term.alpha, c=term.c)
-        inv_root = univariate.whiten(term.B, "quartic weight")
-        return QuarticInstance(A=inv_root @ inst.A @ inv_root,
-                               f=inv_root @ inst.f,
-                               alpha=term.alpha, c=term.c, basis=inv_root)
+        W = univariate.whiten(term.B, "quartic weight")
+        return QuarticInstance(A=W.T @ inst.A @ W, f=W.T @ inst.f,
+                               alpha=term.alpha, c=term.c, basis=W)
 
 
 def secular_derivative(sd: SpectralData, alpha: float, c: float,

@@ -534,12 +534,13 @@ def _definiteness_label(eigs: np.ndarray, tol: float) -> Classification:
     return Classification.UNCLASSIFIED
 
 
-def _factor(inst: ProblemInstance, zeta: DualPoint) -> Optional[_dual.ShiftedHessian]:
-    """The factorisation of G(zeta) when tau is in the open simplex and G is
-    nonsingular, else None."""
+def _factor(inst: ProblemInstance, zeta: DualPoint,
+            factor: Optional[_dual.ShiftedHessian] = None) -> Optional[_dual.ShiftedHessian]:
+    """The factorisation of G(zeta) (``factor``, else assembled) when tau is
+    in the open simplex and G is nonsingular, else None."""
     if not zeta.tau_interior():
         return None
-    G = _dual.assemble(inst, zeta)
+    G = factor if factor is not None else _dual.assemble(inst, zeta)
     return None if G.is_singular else G
 
 
@@ -605,10 +606,13 @@ def triality_classify(inst: ProblemInstance, pair: CriticalPair,
                    primal_label=lp, dual_label=ld)
 
 
-def make_pair(inst: ProblemInstance, zeta: DualPoint) -> Optional[CriticalPair]:
-    """Build and classify the critical pair at a dual root; None when the
-    point is singular or fails the criticality filter."""
-    G = _factor(inst, zeta)
+def make_pair(inst: ProblemInstance, zeta: DualPoint,
+              factor: Optional[_dual.ShiftedHessian] = None) -> Optional[CriticalPair]:
+    """Build and classify the critical pair at a dual root; None when tau is
+    outside the open simplex, the point is singular or it fails the
+    criticality filter. ``factor``, when given, is the factorisation of
+    G(zeta), which is then not built again."""
+    G = _factor(inst, zeta, factor)
     if G is None:
         return None
     x = G.x_of_f

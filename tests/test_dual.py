@@ -59,8 +59,6 @@ class TestAssemble:
         G = assemble(inst, zp(sigma=[0.0]))
         assert G.inertia == (1, 1, 1)
         assert G.region == Region.SINGULAR
-        with pytest.raises(SingularMatrixError):
-            G.solve(inst.f)
 
     def test_solve_matches_numpy(self, rng):
         inst = rand_instance(rng, n=4)

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from canodual import fixtures
+from canodual import fixtures, univariate
+from canodual.dual import ShiftedHessian, assemble
 from canodual.errors import (
     DomainError,
     NoDualCriticalPointError,
@@ -23,7 +24,8 @@ from canodual.minimax import (
     solve_smoothed,
     validate_minimax,
 )
-from canodual.model import Classification, ExistenceVerdict, SpectralData
+from canodual.model import Classification, DualPoint, ExistenceVerdict, SpectralData
+from canodual.solver import make_pair
 
 from conftest import rand_minimax
 
@@ -246,3 +248,52 @@ class TestWhitenedProblemPath:
         general = solve_global(inst)
         assert rep.best.primal_value == pytest.approx(
             general.best.primal_value, abs=1e-8)
+
+
+def _same_pair(built, plain):
+    assert (built is None) == (plain is None)
+    if plain is None:
+        return False
+    assert (built.region, built.classification, built.primal_label, built.dual_label) == (
+        plain.region, plain.classification, plain.primal_label, plain.dual_label)
+    assert np.max(np.abs(built.x - plain.x)) <= 1e-10 * np.max(np.abs(plain.x))
+    for a, b in ((built.primal_value, plain.primal_value), (built.dual_value, plain.dual_value)):
+        assert a == pytest.approx(b, rel=1e-10)
+    return True
+
+
+class TestPairsFromTheSpectrum:
+    @pytest.mark.parametrize("mode", ["unconditional", "not_exists"])
+    def test_match_pairs_on_an_assembled_factor(self, rng, mode):
+        # every root of the enclosure search, a few points that are not
+        # critical (None on both), and the poles inside (0, 1), on them and
+        # 1e-12 off them (singular under the threshold, not exactly)
+        compared, poles = 0, 0
+        for _ in range(6):
+            can = smooth_and_canonicalize(rand_minimax(rng, int(rng.integers(5, 31)), mode))
+            sd, problem = can.spectral(), can.to_problem()
+            taus = univariate.critical_points(sd, univariate.entropy(can.d, can.beta))
+            taus += list(rng.uniform(0.05, 0.95, 3))
+            at_poles = [float(-lam) + off for lam in sd.lambdas if 0.0 < -lam < 1.0
+                        for off in (0.0, -1e-12, 1e-12)]
+            for tau in taus + at_poles:
+                zeta = DualPoint(tau=np.array([tau]), sigma=np.zeros(0))
+                factor = ShiftedHessian.from_spectrum(sd, can.A, tau)
+                assembled = assemble(problem, zeta)
+                assert factor.inertia == assembled.inertia
+                assert factor.sing_tol == assembled.sing_tol
+                built = make_pair(problem, zeta, factor=factor)
+                compared += _same_pair(built, make_pair(problem, zeta))
+                if tau in at_poles:
+                    assert factor.x_of_f is None and built is None
+                    poles += 1
+        assert compared >= 5
+        assert poles >= (18 if mode == "not_exists" else 0)
+
+    def test_outside_the_open_simplex_is_none(self, rng):
+        can = smooth_and_canonicalize(rand_minimax(rng, 5, "unconditional"))
+        sd, problem = can.spectral(), can.to_problem()
+        for tau in (0.0, 1.0, 1.5):
+            zeta = DualPoint(tau=np.array([tau]), sigma=np.zeros(0))
+            assert make_pair(problem, zeta,
+                             factor=ShiftedHessian.from_spectrum(sd, can.A, tau)) is None

@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
-from canodual import univariate
+from canodual import minimax, quartic, univariate
 from canodual.dual import BOUNDARY_MARGIN, GRAD_TOL, eval_dual, grad_dual, hess_dual
-from canodual.errors import DomainError, PoleError, UnboundedError
-from canodual.minimax import canonical_from_problem, smooth_and_canonicalize, solve_smoothed
+from canodual.errors import (
+    CanodualError,
+    DomainError,
+    NotPositiveDefiniteError,
+    PoleError,
+    ShapeMismatchError,
+    UnboundedError,
+)
+from canodual.minimax import (
+    CanonicalForm,
+    MinimaxInstance,
+    canonical_from_problem,
+    smooth_and_canonicalize,
+    solve_smoothed,
+)
 from canodual.model import (
     DualPoint,
     ExistenceVerdict,
@@ -15,7 +28,7 @@ from canodual.model import (
 )
 from canodual.quartic import QuarticInstance
 
-from conftest import rand_instance, rand_minimax
+from conftest import _minimax_from_canonical, rand_instance, rand_minimax
 
 
 class TestVerdictBoundaries:
@@ -195,3 +208,174 @@ class TestCriticalPoints:
         conj = univariate.entropy(d, beta)
         assert 0.0 < univariate.derivative(sd, conj, hi) <= GRAD_TOL
         assert univariate.critical_points(sd, conj) == [hi]
+
+
+def _rotated(rng, eigenvalues):
+    Q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    return (Q * np.asarray(eigenvalues)) @ Q.T
+
+
+def _admits(M, rtol):
+    w = np.linalg.eigvalsh(M)
+    return bool(w[0] > rtol * (1.0 + abs(w[-1])))
+
+
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    plain = np.linalg.eigvalsh
+
+    def counted(M):
+        calls.append(len(M))
+        return plain(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestWhiten:
+    @pytest.mark.parametrize("n", [1, 3, 65, 130, 257])
+    def test_congruence_gives_the_identity(self, rng, n):
+        # 65, 130 and 257 split unevenly and recurse in the triangular inverse
+        M = _rotated(rng, rng.uniform(0.3, 2.0, n))
+        W = univariate.whiten(M, "weight")
+        assert np.max(np.abs(W.T @ M @ W - np.eye(n))) <= 1e-12
+
+    @pytest.mark.parametrize("rtol", [1e-12, 1e-10])
+    @pytest.mark.parametrize("side", [0.98, 1.02])
+    def test_decision_is_the_eigenvalue_rule_at_the_threshold(self, rng, monkeypatch,
+                                                               rtol, side):
+        # eleven eigenvalues, w_max = 1e3 and w_min a hair either side of
+        # rtol (1 + w_max): the trace bound cannot decide, eigvalsh does
+        M = _rotated(rng, [1e3] * 10 + [side * rtol * 1001.0])
+        admitted = _admits(M, rtol)
+        assert admitted == (side > 1.0)
+        calls = _counting_eigvalsh(monkeypatch)
+        if admitted:
+            assert univariate.whiten(M, "weight", rtol=rtol).shape == (11, 11)
+        else:
+            with pytest.raises(ShapeMismatchError) as err:
+                univariate.whiten(M, "weight", rtol=rtol)
+            assert err.value.context["min_eig"] == pytest.approx(side * rtol * 1001.0,
+                                                                 rel=1e-3)
+        assert calls == [11]
+
+    def test_trace_bound_admits_without_eigenvalues(self, rng, monkeypatch):
+        M = _rotated(rng, rng.uniform(0.3, 2.0, 40))
+        calls = _counting_eigvalsh(monkeypatch)
+        univariate.whiten(M, "weight", rtol=1e-10)
+        assert calls == []
+
+    def test_trace_bound_failing_falls_back_and_admits(self, rng, monkeypatch):
+        # ten eigenvalues 1e3 and one 1.5e-7: the bound reads
+        # 1e-10 (1 + 1e4) / 1.5e-7 > 6, the exact rule admits 1.5e-7 > 1.001e-7
+        M = _rotated(rng, [1e3] * 10 + [1.5e-7])
+        assert _admits(M, 1e-10)
+        calls = _counting_eigvalsh(monkeypatch)
+        W = univariate.whiten(M, "branch difference", rtol=1e-10,
+                              error=NotPositiveDefiniteError)
+        assert calls == [11]
+        assert np.allclose(W.T @ M @ W, np.eye(11), atol=1e-6)
+
+    @pytest.mark.parametrize("M", [np.diag([2.0, -1.0, 3.0]),
+                                   np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])],
+                             ids=["indefinite", "singular"])
+    def test_failed_cholesky_is_rejected_with_the_least_eigenvalue(self, M):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        assert not _admits(M, 1e-12)
+        for error in (ShapeMismatchError, NotPositiveDefiniteError):
+            with pytest.raises(error, match="weight must be positive definite") as err:
+                univariate.whiten(M, "weight", error=error)
+            assert err.value.context["min_eig"] == pytest.approx(np.linalg.eigvalsh(M)[0],
+                                                                 abs=1e-15)
+
+
+def _symmetric_root(M):
+    """M^{-1/2}, built as ``conftest.rand_minimax`` builds it."""
+    w, V = np.linalg.eigh(M)
+    return V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+class TestCholeskyCoordinates:
+    """The Cholesky basis is a rotation of the symmetric root's: the same
+    spectrum, the same |f_hat| on simple eigenvalues, the same solutions."""
+
+    def _assert_same_spectral_data(self, sd, ref):
+        assert np.max(np.abs(sd.lambdas - ref.lambdas)) <= 1e-10 * np.max(np.abs(ref.lambdas))
+        gap = np.diff(ref.lambdas) > 1e-4
+        simple = np.r_[gap, True] & np.r_[True, gap]
+        assert simple.sum() > 0.8 * simple.size
+        err = np.abs(np.abs(sd.f_hat) - np.abs(ref.f_hat))[simple]
+        assert np.max(err) <= 1e-10 * np.max(np.abs(ref.f_hat))
+
+    def _assert_same_x(self, x, ref):
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [80, 130])
+    def test_quartic(self, rng, n):
+        inst = rand_instance(rng, n=n, p=0, r=1, spd_quartic=True)
+        term = inst.quartic_terms[0]
+        R = _symmetric_root(term.B)
+        ref = QuarticInstance(A=R @ inst.A @ R, f=R @ inst.f, alpha=term.alpha, c=term.c,
+                              basis=R)
+        qi = QuarticInstance.from_problem(inst)
+        self._assert_same_spectral_data(qi.spectral(), ref.spectral())
+        self._assert_same_x(quartic.solve(qi).best.x, quartic.solve(ref).best.x)
+
+    @pytest.mark.parametrize("n", [80, 130])
+    @pytest.mark.parametrize("mode", ["interior", "exists"])
+    def test_minimax(self, rng, n, mode):
+        # "interior": lambda_1 >= 0.3 and a load of norm about 0.5 keep the
+        # maximiser a float-resolvable distance inside (0, 1), so every solve
+        # returns pairs; the generator's "exists" instances mostly fail at
+        # these sizes (ROADMAP item 2), and must fail the same way. The
+        # instance is taken to the coordinates x = T z, T with singular
+        # values in [0.7, 1.4], so that A2 - A1 = T'T, and f2 is moved off
+        # f1 so that the offset is not zero.
+        if mode == "interior":
+            base = _minimax_from_canonical(rng, np.sort(rng.uniform(0.3, 2.0, n)),
+                                           rng.standard_normal(n) * 0.5 / np.sqrt(n),
+                                           rng.uniform(-0.5, 0.5), rng.uniform(5.0, 12.0))
+        else:
+            base = rand_minimax(rng, n, mode)
+        P, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        S, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        T = (P * rng.uniform(0.7, 1.4, n)) @ S
+        mm = MinimaxInstance(A1=_sym(T.T @ base.A1 @ T), A2=_sym(T.T @ base.A2 @ T),
+                             f1=T.T @ base.f1,
+                             f2=T.T @ base.f2 + rng.standard_normal(n) * 0.1 / np.sqrt(n),
+                             d1=base.d1, d2=base.d2,
+                             beta=base.beta)
+        delta, g = mm.A2 - mm.A1, mm.f2 - mm.f1
+        R = _symmetric_root(delta)
+        offset = np.linalg.solve(delta, g)
+        ref = CanonicalForm(
+            A=_sym(R @ mm.A1 @ R), f=R @ (mm.f1 - mm.A1 @ offset),
+            d=mm.d2 - mm.d1 - 0.5 * float(g @ offset), beta=mm.beta, basis=R,
+            offset=offset,
+            value_shift=0.5 * float(offset @ mm.A1 @ offset) - float(mm.f1 @ offset) + mm.d1)
+        can = smooth_and_canonicalize(mm)
+        self._assert_same_spectral_data(can.spectral(), ref.spectral())
+        got, want = _outcome(minimax.solve, mm), _outcome(minimax._solve_canonical, ref)
+        assert type(got) is type(want)
+        if mode == "interior":
+            assert isinstance(got, list) and len(got) >= 1
+        if isinstance(got, Exception):
+            return
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.zeta.tau[0] == pytest.approx(b.zeta.tau[0], abs=1e-12)
+            assert (a.region, a.classification) == (b.region, b.classification)
+            self._assert_same_x(a.x, b.x)
+
+
+def _outcome(solve, data):
+    """The solve's pairs, or the library error it raised."""
+    try:
+        return solve(data).critical_pairs
+    except CanodualError as err:
+        return err
