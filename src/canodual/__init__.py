@@ -6,14 +6,11 @@ from . import errors
 from .dual import (
     ShiftedHessian,
     assemble,
-    classify_region,
     conjugate_lse,
     conjugate_quartic,
-    eval_complementary,
     eval_dual,
     grad_dual,
     hess_dual,
-    recover_primal,
 )
 from .minimax import (
     CanonicalForm,
@@ -64,13 +61,12 @@ __all__ = [
     "DualPoint", "ExistenceVerdict", "LseTerm", "MinimaxInstance",
     "ProblemInstance", "QuarticInstance", "QuarticTerm", "Region",
     "ShiftedHessian", "SolveReport", "SolverConfig", "SpectralData",
-    "assemble", "beta_sweep", "canonical_measure", "classify_region",
-    "conjugate_lse", "conjugate_quartic", "definiteness_transfer_check",
-    "duality_map", "errors", "eval_complementary", "eval_dual", "eval_lse",
-    "eval_primal", "eval_quartic", "existence_check_minimax",
-    "existence_check_quartic", "fd_gradient", "fd_hessian",
-    "find_critical_points", "grad_dual", "grad_primal", "grid_global_min",
-    "hess_dual", "hess_primal", "parse_problem", "recover_primal",
+    "assemble", "beta_sweep", "canonical_measure", "conjugate_lse",
+    "conjugate_quartic", "definiteness_transfer_check", "duality_map",
+    "errors", "eval_dual", "eval_lse", "eval_primal", "eval_quartic",
+    "existence_check_minimax", "existence_check_quartic", "fd_gradient",
+    "fd_hessian", "find_critical_points", "grad_dual", "grad_primal",
+    "grid_global_min", "hess_dual", "hess_primal", "parse_problem",
     "reproduce_example", "serialize_problem", "smooth_and_canonicalize",
     "solve_global", "solve_minimax", "solve_quartic", "solve_smoothed",
     "triality_classify", "validate", "validate_minimax",

@@ -3,9 +3,8 @@
     min_x  max( 1/2 x'A1 x - f1'x + d1,  1/2 x'A2 x - f2'x + d2 )
 
 with A2 - A1 positive definite. Factoring the first branch out of the
-smoothed maximum and whitening the difference quadratic with its Cholesky
-factor A2 - A1 = LL', x = L^{-T} y + (A2-A1)^{-1} (f2-f1), yields the
-canonical form
+smoothed maximum and whitening the difference quadratic, x = W y +
+(A2-A1)^{-1} (f2-f1) with W'(A2 - A1)W = I, yields the canonical form
 
     1/2 y'Ay - f'y + (1/beta) log(1 + exp(beta (1/2 y'y + d)))  (+ constant),
 
@@ -22,7 +21,8 @@ are enumerated by the engine's enclosure search over (0, 1) minus the
 spectrum poles (bisection that drops every sub-interval whose bounds on
 the dual's slope exclude zero) and classified through the general
 machinery, each on a factorisation of A + tau I read off the spectrum of
-A: a solve makes one Cholesky factorisation and one eigendecomposition.
+A: a solve makes one eigendecomposition, and one Cholesky factorisation
+of the difference unless it is diagonal, which is whitened by scaling.
 This module keeps the instance and canonical-form types, the solves, and
 the (d, beta) forms of the dual functions and the existence check.
 
@@ -105,25 +105,25 @@ def validate_minimax(mm: MinimaxInstance, check_difference: bool = True) -> Mini
     if not all(np.all(np.isfinite(v)) for v in (mm.f1, mm.f2, [mm.d1, mm.d2])):
         raise ShapeMismatchError("non-finite data")
     if check_difference:
-        _whiten_difference(A2 - A1)
+        univariate.whiten(A2 - A1, **_DIFFERENCE)
     return MinimaxInstance(A1=A1, A2=A2, f1=mm.f1, f2=mm.f2,
                            d1=float(mm.d1), d2=float(mm.d2), beta=float(mm.beta))
 
 
-def _whiten_difference(delta: np.ndarray) -> np.ndarray:
-    """W with W' delta W = I for the branch difference delta = A2 - A1;
-    raises :class:`NotPositiveDefiniteError` unless its eigenvalues have
-    w_min > 1e-10 (1 + |w_max|)."""
-    return univariate.whiten(delta, "branch difference A2 - A1", rtol=1e-10,
-                             error=NotPositiveDefiniteError)
+# the branch difference A2 - A1 is admitted when its eigenvalues have
+# w_min > 1e-10 (1 + |w_max|), else NotPositiveDefiniteError
+_DIFFERENCE = dict(what="branch difference A2 - A1", rtol=1e-10,
+                   error=NotPositiveDefiniteError)
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     """Whitened smoothed problem with the affine transform back to the
     original coordinates: x = basis @ y + offset, original value =
-    canonical value + value_shift. ``basis`` is L^{-T} for the Cholesky
-    factor LL' of the whitened weight (A2 - A1, or the log-sum-exp weight):
+    canonical value + value_shift. ``basis`` is the W of
+    :func:`univariate.whiten` for the whitened weight (A2 - A1, or the
+    log-sum-exp weight): diag(d^{-1/2}) for a diagonal weight, which is
+    scaled with no factorisation, else L^{-T} for its Cholesky factor LL',
     a rotation of the symmetric root's coordinates, with the same spectrum
     and the same solutions."""
 
@@ -154,16 +154,16 @@ class CanonicalForm:
 
 def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     """Whiten the branch difference and fold the base branch constant into
-    the value shift. One Cholesky factorisation of the difference,
-    delta = LL', serves the definiteness test, the whitening W = L^{-T}
-    and the offset, since delta^{-1} = WW'. The test admits only
-    w_min > 1e-10 (1 + w_max), which bounds the condition number of the
-    difference below 1e10, so an admitted difference needs no warning."""
+    the value shift. One whitening W of the difference delta (a scaling
+    when delta is diagonal, else from one Cholesky factorisation) serves
+    the definiteness test, the canonical A = W'A1W and the offset, since
+    delta^{-1} = WW'. The test admits only w_min > 1e-10 (1 + w_max),
+    which bounds the condition number of the difference below 1e10, so an
+    admitted difference needs no warning."""
     mm = validate_minimax(mm, check_difference=False)
     g = mm.f2 - mm.f1
-    W = _whiten_difference(mm.A2 - mm.A1)
+    W, A = univariate.whitened(mm.A2 - mm.A1, mm.A1, **_DIFFERENCE)
     offset = W @ (W.T @ g)                              # delta^{-1} g
-    A = W.T @ mm.A1 @ W
     f = W.T @ (mm.f1 - mm.A1 @ offset)
     d = mm.d2 - mm.d1 - 0.5 * float(g @ offset)
     shift = 0.5 * float(offset @ mm.A1 @ offset) - float(mm.f1 @ offset) + mm.d1
@@ -178,14 +178,9 @@ def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
         raise ShapeMismatchError("smoothed-minimax specialization needs p=1, r=0",
                                  p=inst.p, r=inst.r)
     term = inst.lse_terms[0]
-    n = inst.n
-    if np.max(np.abs(term.Q - np.eye(n))) <= 1e-14:
-        return CanonicalForm(A=inst.A, f=inst.f, d=term.d, beta=inst.beta,
-                             basis=np.eye(n), offset=np.zeros(n), value_shift=0.0)
-    W = univariate.whiten(term.Q, "log-sum-exp weight")
-    return CanonicalForm(A=W.T @ inst.A @ W, f=W.T @ inst.f,
-                         d=term.d, beta=inst.beta, basis=W,
-                         offset=np.zeros(n), value_shift=0.0)
+    W, A = univariate.whitened(term.Q, inst.A, "log-sum-exp weight")
+    return CanonicalForm(A=A, f=W.T @ inst.f, d=term.d, beta=inst.beta, basis=W,
+                         offset=np.zeros(inst.n), value_shift=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Desk-scale ground truth, independent of the dual machinery.
 
 ``grid_global_min`` brute-forces the objective on a box grid and polishes
-the best node with plain (unconstrained) gradient descent driven by finite
-differences, so nothing here shares code with the analytic solvers it is
-used to check.
+the best node with projected gradient descent (each trial clipped to the
+box) driven by finite differences, so nothing here shares code with the
+analytic solvers it is used to check.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ def fd_hessian(fn: Callable[[np.ndarray], float], x: np.ndarray,
     return H
 
 
-def _polish(fn, x0: np.ndarray, v0: float, steps: int = 50):
-    """Gradient descent with backtracking from the best grid node."""
+def _polish(fn, x0: np.ndarray, v0: float, lo: np.ndarray, hi: np.ndarray,
+            steps: int = 50):
+    """Gradient descent with backtracking from the best grid node, each
+    trial clipped to the box [lo, hi]."""
     x, v = np.array(x0, dtype=float), float(v0)
     t = 1.0
     for _ in range(steps):
@@ -75,7 +77,7 @@ def _polish(fn, x0: np.ndarray, v0: float, steps: int = 50):
         t = min(t * 2.0, 1.0 / (1.0 + np.sqrt(gg)))
         moved = False
         while t > 1e-18:
-            x2 = x - t * g
+            x2 = np.clip(x - t * g, lo, hi)
             v2 = fn(x2)
             if v2 <= v - 1e-4 * t * gg:
                 x, v = x2, v2
@@ -112,14 +114,16 @@ def grid_global_min(inst: ProblemInstance, box: BoxLike,
 
     Grid-only search can miss minima between nodes on quartic / smoothed-max
     curvature, so the node is always polished; the reported value is never
-    above the best raw node value. The polish is unconstrained: it may walk
-    out of the box, so the returned point can lie outside it.
+    above the best raw node value. The polish clips each trial to the box,
+    so the returned point lies in it: a minimum outside the box shows as a
+    point on its edge.
     """
     n = inst.n
     check_grid_dimension(n)
     if not (2 <= resolution <= MAX_RESOLUTION):
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}]")
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in _box_edges(box, n)]
+    edges = _box_edges(box, n)
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in edges]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.column_stack([m.ravel() for m in mesh])
     best_v = np.inf
@@ -132,7 +136,8 @@ def grid_global_min(inst: ProblemInstance, box: BoxLike,
             best_v = float(vals[i])
             best_x = chunk[i]
     fn = lambda x: float(_objective_batch(inst, x[None, :])[0])
-    x, v = _polish(fn, best_x, best_v)
+    lo, hi = np.array(edges).T
+    x, v = _polish(fn, best_x, best_v, lo, hi)
     return x, v
 
 

@@ -18,9 +18,10 @@ This module keeps the instance type, the solve, and the (alpha, c) forms
 of the dual functions and the existence check that the solve calls.
 
 General positive-definite quartic weights are handled by whitening: with
-the Cholesky factor B = LL', y = L'x turns the weight into the identity
-without changing objective values, and the solution is mapped back through
-``basis`` = L^{-T}.
+W'BW = I, x = Wy turns the weight into the identity without changing
+objective values, and the solution is mapped back through ``basis`` = W.
+A diagonal B is scaled, W = diag(B_ii^{-1/2}), with no factorisation; any
+other B gives W = L^{-T} from its Cholesky factor B = LL'.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .model import (
 
 @dataclass(frozen=True)
 class QuarticInstance:
-    """Whitened data (A, f, alpha, c); ``basis`` W = L^{-T}, from the
-    Cholesky factor B = LL' of the original weight, maps whitened solutions
-    back to original coordinates (None means identity)."""
+    """Whitened data (A, f, alpha, c); ``basis`` W, with W'BW = I for the
+    original weight B, maps whitened solutions back to original coordinates
+    (None means identity). W is diag(B_ii^{-1/2}) for a diagonal B, scaled
+    with no factorisation, else L^{-T} for the Cholesky factor B = LL'."""
 
     A: np.ndarray
     f: np.ndarray
@@ -86,11 +88,8 @@ class QuarticInstance:
             raise ShapeMismatchError("quartic specialization needs p=0, r=1",
                                      p=inst.p, r=inst.r)
         term = inst.quartic_terms[0]
-        if np.max(np.abs(term.B - np.eye(inst.n))) <= 1e-14:
-            return QuarticInstance(A=inst.A, f=inst.f, alpha=term.alpha, c=term.c)
-        W = univariate.whiten(term.B, "quartic weight")
-        return QuarticInstance(A=W.T @ inst.A @ W, f=W.T @ inst.f,
-                               alpha=term.alpha, c=term.c, basis=W)
+        W, A = univariate.whitened(term.B, inst.A, "quartic weight")
+        return QuarticInstance(A=A, f=W.T @ inst.f, alpha=term.alpha, c=term.c, basis=W)
 
 
 def secular_derivative(sd: SpectralData, alpha: float, c: float,

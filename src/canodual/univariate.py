@@ -1,8 +1,9 @@
 """Univariate spectral dual shared by the two fast paths.
 
-After whitening the measure weight to the identity and diagonalising
-A = U diag(lambda) U' with f_hat = U'f, the canonical dual of a problem with
-one measure term is the univariate function
+After whitening the measure weight to the identity (:func:`whiten`: a
+diagonal weight is scaled, any other one goes through its Cholesky factor)
+and diagonalising A = U diag(lambda) U' with f_hat = U'f, the canonical dual
+of a problem with one measure term is the univariate function
 
     D(s) = -1/2 sum_i f_hat_i^2 / (lambda_i + s) - V*(s),
 
@@ -348,11 +349,17 @@ def critical_points(sd: SpectralData, conj: Conjugate) -> list[float]:
 
 def whiten(M: np.ndarray, what: str, rtol: float = 1e-12,
            error: type = ShapeMismatchError) -> np.ndarray:
-    """W = L^{-T} from the Cholesky factor M = LL' of a positive definite
-    weight M, so that W'MW = I; raises ``error`` (with ``min_eig``) unless
-    the eigenvalues of M have w_min > rtol (1 + |w_max|).
+    """W with W'MW = I for a positive definite weight M; raises ``error``
+    (with ``min_eig``) unless the eigenvalues of M have
+    w_min > rtol (1 + |w_max|).
 
-    The factor decides that test without eigenvalues unless M is badly
+    A diagonal M (every off-diagonal entry exactly zero) is scaled, with no
+    factorisation: its eigenvalues are its diagonal d, which decides the
+    test exactly, and W = diag(d^{-1/2}) is bit for bit the L^{-T} of the
+    Cholesky route, since the factor of a diagonal M is diag(sqrt(d)).
+
+    Any other M is whitened by W = L^{-T} from its Cholesky factor M = LL'.
+    The factor decides the test without eigenvalues unless M is badly
     conditioned. A Cholesky factorisation fails only when w_min is below
     or within rounding of zero, and such an M is rejected. Since
     w_max <= trace(M) and w_min >= 1 / ||L^{-1}||_F^2, the bound
@@ -360,6 +367,28 @@ def whiten(M: np.ndarray, what: str, rtol: float = 1e-12,
     fails, which needs w_min <= 2 n^2 rtol max(1, w_max), does ``eigvalsh``
     decide.
     """
+    return _whitening(M, what, rtol, error)[0]
+
+
+def whitened(M: np.ndarray, A: np.ndarray, what: str, rtol: float = 1e-12,
+             error: type = ShapeMismatchError) -> tuple[np.ndarray, np.ndarray]:
+    """(W, W'AW) for the W of :func:`whiten`. A diagonal W scales the rows
+    and columns of A in O(n^2), with the rounding of the dense product
+    (W'A)W: each of its sums has one nonzero term."""
+    W, scale = _whitening(M, what, rtol, error)
+    if scale is not None:
+        return W, (scale[:, None] * A) * scale
+    return W, (W.T @ A) @ W
+
+
+def _whitening(M: np.ndarray, what: str, rtol: float, error: type):
+    """(W, the diagonal of W when M is diagonal, else None); see :func:`whiten`."""
+    d = np.diagonal(M)
+    if np.count_nonzero(M) == np.count_nonzero(d):
+        if not d.min() > rtol * (1.0 + abs(d.max())):
+            raise error(f"{what} must be positive definite", min_eig=float(d.min()))
+        scale = 1.0 / np.sqrt(d)
+        return np.diag(scale), scale
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -367,11 +396,11 @@ def whiten(M: np.ndarray, what: str, rtol: float = 1e-12,
     if L is not None:
         L_inv = _lower_inverse(L)
         if rtol * (1.0 + float(np.trace(M))) * float(np.sum(L_inv * L_inv)) < 1.0:
-            return L_inv.T
+            return L_inv.T, None
     w = np.linalg.eigvalsh(M)
     if L is None or w[0] <= rtol * (1.0 + abs(w[-1])):
         raise error(f"{what} must be positive definite", min_eig=float(w[0]))
-    return L_inv.T
+    return L_inv.T, None
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from canodual.errors import (
 from canodual.minimax import (
     MinimaxInstance,
     beta_sweep,
+    canonical_from_problem,
     dual_derivative,
     dual_second_derivative,
     dual_value,
@@ -27,7 +28,7 @@ from canodual.minimax import (
 from canodual.model import Classification, DualPoint, ExistenceVerdict, SpectralData
 from canodual.solver import make_pair
 
-from conftest import rand_minimax
+from conftest import rand_minimax, rand_sym
 
 
 class TestCanonicalize:
@@ -232,6 +233,68 @@ class TestSolve:
         assert values[0] > values[1] > values[2] > 0
         assert values[2] < 1e-4
         assert np.max(np.abs(rows[2]["x"])) < 1e-3
+
+
+def _diagonal_difference_instance(rng, n, diagonal):
+    A1 = rand_sym(rng, n, 0.8)
+    return MinimaxInstance(A1=A1, A2=A1 + np.diag(diagonal),
+                           f1=rng.standard_normal(n) * 0.4, f2=rng.standard_normal(n) * 0.4,
+                           d1=float(rng.uniform(-0.5, 0.5)), d2=float(rng.uniform(-0.5, 0.5)),
+                           beta=8.0)
+
+
+class TestDiagonalDifference:
+    """A2 - A1 with every off-diagonal entry exactly zero is whitened by
+    scaling, with the outputs of the dense Cholesky formula."""
+
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_canonical_form_is_the_dense_formula_bit_for_bit(self, rng, n):
+        mm = _diagonal_difference_instance(rng, n, rng.uniform(0.5, 2.0, n))
+        delta, g = mm.A2 - mm.A1, mm.f2 - mm.f1
+        assert np.count_nonzero(delta - np.diag(np.diagonal(delta))) == 0
+        W = np.linalg.inv(np.linalg.cholesky(delta)).T
+        offset = W @ (W.T @ g)
+        A = W.T @ mm.A1 @ W
+        can = smooth_and_canonicalize(mm)
+        assert np.array_equal(can.basis, W)
+        assert np.array_equal(can.offset, offset)
+        assert np.array_equal(can.A, 0.5 * (A + A.T))
+        assert np.array_equal(can.f, W.T @ (mm.f1 - mm.A1 @ offset))
+        assert can.d == mm.d2 - mm.d1 - 0.5 * float(g @ offset)
+        assert can.value_shift == (0.5 * float(offset @ mm.A1 @ offset)
+                                   - float(mm.f1 @ offset) + mm.d1)
+
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_problem_path_is_the_dense_formula_bit_for_bit(self, rng, n):
+        from canodual.model import LseTerm, ProblemInstance, validate
+        Q = np.diag(rng.uniform(0.5, 2.0, n))
+        inst = validate(ProblemInstance(A=rand_sym(rng, n, 0.8), f=rng.standard_normal(n),
+                                        lse_terms=(LseTerm(Q=Q, d=-0.3),), beta=8.0))
+        W = np.linalg.inv(np.linalg.cholesky(Q)).T
+        can = canonical_from_problem(inst)
+        assert np.array_equal(can.basis, W)
+        assert np.array_equal(can.A, W.T @ inst.A @ W)
+        assert np.array_equal(can.f, W.T @ inst.f)
+
+    def test_rejected_with_the_dense_error(self, rng):
+        mm = _diagonal_difference_instance(rng, 4, [1.0, 2.0, -0.5, 1.0])
+        min_eig = np.linalg.eigvalsh(mm.A2 - mm.A1)[0]
+        for step in (validate_minimax, smooth_and_canonicalize, solve):
+            with pytest.raises(NotPositiveDefiniteError,
+                               match="branch difference A2 - A1 must be positive definite") as err:
+                step(mm)
+            assert err.value.context["min_eig"] == min_eig
+
+    def test_solves_without_a_factorisation(self, rng, monkeypatch):
+        mm = rand_minimax(rng, 6, "unconditional")
+        want = solve(mm).best
+
+        def refuse(M):
+            raise np.linalg.LinAlgError("factorised")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        got = solve(mm).best
+        assert np.array_equal(got.x, want.x) and got.primal_value == want.primal_value
 
 
 class TestWhitenedProblemPath:

@@ -57,6 +57,15 @@ class TestGrid:
             for coarse, fine in zip(values[:-1], values[1:]):
                 assert fine <= coarse + 1e-12
 
+    def test_polish_stays_in_the_box(self):
+        # double well with its minimiser at x = 10.005, outside (-6, 6)
+        inst = validate(ProblemInstance(
+            A=[[0.0]], f=[0.5],
+            quartic_terms=(QuarticTerm(B=[[1.0]], c=-50.0, alpha=1.0),)))
+        x, v = grid_global_min(inst, (-6.0, 6.0), 601)
+        assert x[0] == 6.0
+        assert v == pytest.approx(eval_primal(inst, x), abs=1e-9)
+
     def test_polish_improves_on_grid_node(self):
         # a deliberately coarse grid still lands on the right basin floor
         x, v = grid_global_min(fixtures.example1(), (-3.0, 3.0), 31)

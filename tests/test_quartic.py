@@ -166,6 +166,28 @@ class TestSolve:
             assert eval_primal(inst, fast.best.x) == pytest.approx(
                 fast.best.primal_value, abs=1e-8)
 
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_diagonal_weight_is_the_dense_formula_bit_for_bit(self, rng, n):
+        # a diagonal weight is scaled, with no factorisation
+        B = np.diag(rng.uniform(0.5, 2.0, n))
+        A = rng.standard_normal((n, n))
+        inst = validate(ProblemInstance(
+            A=0.5 * (A + A.T), f=rng.standard_normal(n),
+            quartic_terms=(QuarticTerm(B=B, c=-1.0, alpha=2.0),)))
+        W = np.linalg.inv(np.linalg.cholesky(B)).T
+        qi = QuarticInstance.from_problem(inst)
+        assert np.array_equal(qi.basis, W)
+        assert np.array_equal(qi.A, W.T @ inst.A @ W)
+        assert np.array_equal(qi.f, W.T @ inst.f)
+
+    def test_identity_weight_keeps_the_data(self):
+        inst = fixtures.example2()
+        qi = QuarticInstance.from_problem(inst)
+        assert np.array_equal(qi.basis, np.eye(inst.n))
+        assert np.array_equal(qi.A, inst.A) and np.array_equal(qi.f, inst.f)
+        y = solve(QuarticInstance(A=inst.A, f=inst.f, alpha=qi.alpha, c=qi.c)).best.x
+        assert np.array_equal(solve(qi).best.x, y)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             QuarticInstance.from_problem(fixtures.example1())

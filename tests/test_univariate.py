@@ -277,8 +277,9 @@ class TestWhiten:
         assert np.allclose(W.T @ M @ W, np.eye(11), atol=1e-6)
 
     @pytest.mark.parametrize("M", [np.diag([2.0, -1.0, 3.0]),
-                                   np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])],
-                             ids=["indefinite", "singular"])
+                                   np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+                                   np.diag([2.0, 0.0, 3.0])],
+                             ids=["indefinite", "singular", "singular-diagonal"])
     def test_failed_cholesky_is_rejected_with_the_least_eigenvalue(self, M):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(M)
@@ -288,6 +289,65 @@ class TestWhiten:
                 univariate.whiten(M, "weight", error=error)
             assert err.value.context["min_eig"] == pytest.approx(np.linalg.eigvalsh(M)[0],
                                                                  abs=1e-15)
+
+
+class TestDiagonalWhitening:
+    """A diagonal weight is scaled, with no factorisation, and lands bit for
+    bit where the Cholesky route would."""
+
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_scaling_is_the_cholesky_route_bit_for_bit(self, rng, n):
+        # n = 100 recurses in the triangular inverse, n = 5 does not
+        M = np.diag(rng.uniform(0.3, 2.0, n))
+        A = _sym(rng.standard_normal((n, n)))
+        W, WAW = univariate.whitened(M, A, "weight")
+        L = np.linalg.cholesky(M)
+        dense = np.linalg.inv(L).T
+        assert np.array_equal(W, dense)
+        assert np.array_equal(W, univariate._lower_inverse(L).T)
+        assert np.array_equal(WAW, dense.T @ A @ dense)
+        assert np.array_equal(univariate.whiten(M, "weight"), W)
+
+    @pytest.mark.parametrize("rtol", [1e-12, 1e-10])
+    @pytest.mark.parametrize("side", [0.98, 1.02])
+    @pytest.mark.parametrize("w_max", [1e3, 1.0])
+    @pytest.mark.parametrize("error", [ShapeMismatchError, NotPositiveDefiniteError])
+    def test_decision_is_the_eigenvalue_rule_at_the_threshold(self, monkeypatch, rtol,
+                                                               side, w_max, error):
+        M = np.diag([w_max] * 10 + [side * rtol * (1.0 + w_max)])
+        admitted, min_eig = _admits(M, rtol), np.linalg.eigvalsh(M)[0]
+        assert admitted == (side > 1.0)
+        calls = _counting_eigvalsh(monkeypatch)
+        if admitted:
+            assert univariate.whiten(M, "weight", rtol=rtol, error=error).shape == (11, 11)
+        else:
+            with pytest.raises(error, match="weight must be positive definite") as err:
+                univariate.whiten(M, "weight", rtol=rtol, error=error)
+            assert err.value.context["min_eig"] == min_eig
+        assert calls == []
+
+    def test_no_factorisation(self, monkeypatch):
+        def refuse(M):
+            raise np.linalg.LinAlgError("factorised")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        M = np.diag([0.5, 2.0, 4.0])
+        W = univariate.whiten(M, "weight")
+        assert np.array_equal(W, np.diag(1.0 / np.sqrt([0.5, 2.0, 4.0])))
+
+    def test_one_tiny_off_diagonal_entry_takes_the_cholesky_route(self, monkeypatch):
+        M = np.diag([0.5, 2.0, 4.0])
+        M[0, 2] = M[2, 0] = 1e-300
+        plain, calls = np.linalg.cholesky, []
+
+        def counted(M):
+            calls.append(len(M))
+            return plain(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        W = univariate.whiten(M, "weight")
+        assert calls == [3]
+        assert np.array_equal(W, univariate._lower_inverse(plain(M)).T)
 
 
 def _symmetric_root(M):
