@@ -167,10 +167,6 @@ def assemble(inst: ProblemInstance, zeta: DualPoint) -> ShiftedHessian:
                           sing_tol=float(tol[0]), x_of_f=x[0] if nonsingular[0] else None)
 
 
-def classify_region(inst: ProblemInstance, zeta: DualPoint) -> Region:
-    return assemble(inst, zeta).region
-
-
 def _check_simplex(tau: np.ndarray):
     if tau.size == 0:
         return
@@ -281,11 +277,3 @@ def hess_dual(inst: ProblemInstance, zeta: DualPoint,
     F = measure_jacobian(inst, G.x_of_f)
     return hessians(inst, zeta.tau[None], F[None], G.eigenvectors[None],
                     G.eigenvalues[None])[0]
-
-
-def recover_primal(inst: ProblemInstance, zeta: DualPoint) -> np.ndarray:
-    """Analytic primal recovery x = G(zeta)^{-1} f."""
-    G = assemble(inst, zeta)
-    if G.is_singular:
-        raise SingularMatrixError("primal recovery undefined: G(zeta) singular")
-    return G.x_of_f

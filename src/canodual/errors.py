@@ -76,9 +76,10 @@ class NoDualCriticalPointError(CanodualError):
 
 
 class HardCaseError(CanodualError):
-    """Dual ascent converged to the boundary of the positive-definite region
-    without reaching a critical point; the instance cannot be certified by
-    the analytic recovery formula."""
+    """Dual ascent converged to the boundary of the positive-definite region,
+    or to the margin the solver keeps tau inside the simplex, without
+    reaching a critical point; the instance cannot be certified by the
+    analytic recovery formula."""
 
     code = "NO_SA_PLUS_CRITICAL_POINT"
 

@@ -195,10 +195,6 @@ def dual_derivative(sd: SpectralData, d: float, beta: float, tau: float) -> floa
     return float(univariate.derivative(sd, univariate.entropy(d, beta), tau))
 
 
-def dual_second_derivative(sd: SpectralData, d: float, beta: float, tau: float) -> float:
-    return float(univariate.second_derivative(sd, univariate.entropy(d, beta), tau))
-
-
 def existence_check(sd: SpectralData, d: float, beta: float) -> ExistenceVerdict:
     """Existence of a dual critical point in the positive region: always
     for lambda_1 >= 0, never (unbounded) for lambda_1 <= -1 (see

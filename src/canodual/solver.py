@@ -8,30 +8,33 @@ iterates drifting to the region boundary with a non-vanishing gradient are
 reported as the hard case.
 
 ``find_critical_points`` runs seeded multistart Newton on the dual gradient
-(line search on the squared gradient norm), with the sampled and the
-primal-seeded starts in one lockstep call on one array of dual vectors,
-deduplicates the roots, and classifies every resulting primal/dual pair.
-The primal-seeded starts come from a primal Newton search that also runs
-in lockstep, on one (k, n) array of points, through the row-stacked
-``primal.grad_primal`` and ``primal.hess_primal``.
+(line search on the squared gradient norm) from sampled starts and from
+starts harvested by a primal Newton search, deduplicates the roots, and
+classifies every resulting primal/dual pair. Both Newton searches are thin
+callers of one lockstep driver, ``_lockstep_newton``, on one array of
+points: each gives its stacked gradient (``dual.evaluate``,
+``primal.grad_primal``) and Newton direction, and the driver owns the
+iteration cap, the convergence and stop tests and the line search. A start
+converges when its gradient meets the tolerance at its start or after any
+allowed step, the point after the last one included. No start reads
+another's data, so each ends bitwise as it would alone, and a search ends
+when no start is left running.
+
+The driver backtracks in batches: each round evaluates a batch of halvings
+of every running start's first trial step, sized from that start's own
+history (``_trial_round``): t0 alone after a full step, else up to 8
+halvings past the one its previous step accepted, then doubling. A start
+crawling next to a singular G thus takes about one round per step instead
+of several. The accepted trial is still the first acceptable one in
+halving order, so the batch sizes change only how many evaluations a
+search makes, never its result.
 
 Every dual evaluation inside the solvers calls the stacked kernel of
 ``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m) array of
-flat dual vectors: the lockstep multistart, the ascent and its interior
-start (one row at a time), and the refinement of the m = 1 scan.
-``make_pair`` and ``triality_classify``, at the API edge, take a
-``DualPoint`` and call the per-point functions of ``dual``. In both
-lockstep searches no start reads another's data, so each ends bitwise as
-it would alone, and a search ends when no start is left running.
-
-Both lockstep searches backtrack in batches: each round evaluates a batch
-of halvings of every running start's first trial step, sized from that
-start's own history (``_trial_round``): t0 alone after a full step, else
-up to 8 halvings past the one its previous step accepted, then doubling.
-A start crawling next to a singular G thus takes about one round per
-step instead of several. The accepted trial is still the first acceptable
-one in halving order, so the batch sizes change only how many kernel calls
-a search makes, never its result.
+flat dual vectors; the ascent, its interior start and the refinement of
+the m = 1 scan pass one row at a time. ``make_pair`` and
+``triality_classify``, at the API edge, take a ``DualPoint`` and call the
+per-point functions of ``dual``.
 
 Classification semantics at a dual critical point zeta with recovered x:
 
@@ -79,6 +82,10 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+# A pair whose duality gap exceeds GAP_RTOL * (1 + |primal value|) is not a
+# critical pair (the zero-gap tolerance of acceptance criterion 4).
+GAP_RTOL = 1e-6
 
 
 def _positive_point(inst: ProblemInstance, z: np.ndarray) -> Optional[_dual.Points]:
@@ -268,7 +275,7 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _dual.Points,
     """Damped Newton maximization of the dual inside the positive region,
     from z with its one-row evaluation ``pts``. A positive-definite trial is
     accepted on a rise of the dual value or, as near the root that rise is
-    below the value's rounding, on the merit test of :func:`_newton_roots`.
+    below the value's rounding, on the merit test of :func:`_lockstep_newton`.
 
     Returns (z, pts, iterations, converged) at the last accepted point.
     """
@@ -394,121 +401,115 @@ def _first_acceptable(owner: np.ndarray, ok: np.ndarray):
     return owner[first], first
 
 
-def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
-    """Newton iteration on grad = 0 with line search on 1/2 ||grad||^2, run
-    in lockstep from every row of Z0 (k, m).
+def _lockstep_newton(evaluate, direction, X0: np.ndarray, max_iter: int, tol: float,
+                     floor: float, decrease: float):
+    """Newton iteration on g = 0 with backtracking on 1/2 ||g||^2, run in
+    lockstep from every row of X0 (k, n): the one line-search loop of both
+    root searches.
 
-    Returns (Z, iterations, converged), one row or entry per start;
-    merit-stationary non-roots are reported unconverged so the caller can
-    discard them. Each round evaluates the pending trial points of all
-    starts with one stacked factorisation, and no start reads another's
-    data, so every row ends exactly as it would alone.
-    """
-    Z = np.array(Z0, dtype=float)
-    k, p = len(Z), inst.p
-    iters = np.zeros(k, dtype=int)
-    converged = np.zeros(k, dtype=bool)
-    pts = _dual.evaluate(inst, Z)
-    running = pts.valid.copy()
-    fresh = running.copy()          # at a new point, due for a Newton step
-    step = np.zeros_like(Z)
-    t0 = np.zeros(k)                # first trial step length
-    tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
-    last = np.zeros(k, dtype=int)   # halving accepted on the previous step
-    merit = np.zeros(k)
-    while True:
-        S = np.flatnonzero(fresh)
-        fresh[:] = False
-        iters[S] += 1
-        ginf = np.abs(pts.grad[S]).max(axis=1)
-        capped = iters[S] > cfg.max_iter
-        iters[S[capped]] = cfg.max_iter
-        converged[S] = ginf <= GRAD_TOL
-        running[S[capped | ~np.isfinite(ginf) | converged[S]]] = False
-        S = S[running[S]]
-        if S.size:
-            dz, flat = _directions(inst, Z[S, :p], _dual.Points(*(a[S] for a in pts)))
-            running[S[flat]] = False
-            step[S] = dz
-            t0[S] = np.minimum(1.0, _tau_step_caps(Z[S, :p], dz[:, :p], BOUNDARY_MARGIN))
-            tried[S] = 0
-            merit[S] = _half_sq_norms(pts.grad[S])
-        owner, t, halving = _trial_round(running, tried, last, t0, 1e-16)
-        if owner.size == 0:  # no start is running
-            return Z, iters, converged
-        Zt = Z[owner] + t[:, None] * step[owner]
-        trial = _dual.evaluate(inst, Zt)
-        ok = trial.valid & np.all(np.isfinite(trial.grad), axis=1)
-        ok[ok] = _half_sq_norms(trial.grad[ok]) <= merit[owner[ok]] * (1.0 - 2e-4 * t[ok])
-        accepted, first = _first_acceptable(owner, ok)
-        last[accepted] = halving[first]
-        Z[accepted] = Zt[first]
-        for mine, theirs in zip(pts, trial):
-            mine[accepted] = theirs[first]
-        fresh[accepted] = True
+    ``evaluate(X)`` gives (valid, g, state) for a stack of points: the rows
+    that can be stepped from, the gradients (k, n) and a sequence of
+    per-row arrays the caller needs for its steps. ``direction(X, g,
+    state)`` gives (step, t0, stop) for the running rows: the steps, their
+    first trial lengths and the rows to stop at. A start converges when
+    ||g||_inf <= tol at its start or after any of its first ``max_iter``
+    steps; it stops unconverged there, at an invalid or non-finite point,
+    where ``stop`` says so, or when no trial down to ``floor`` lowers the
+    merit by the factor 1 - decrease * t. A round evaluates the pending
+    trials of all starts in one call, and no start reads another's data,
+    so every row ends exactly as it would alone.
 
-
-# Newton steps of each primal-seeded start
-_PRIMAL_ITERATIONS = 40
-
-
-def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
-    """Newton iteration on the primal gradient with backtracking on its
-    squared norm, run in lockstep from every row of X0 (k, n).
-
-    Returns (X, converged), one row or entry per start. A start converges
-    when ||grad||_inf <= tol within ``_PRIMAL_ITERATIONS`` steps; it stops
-    unconverged at a non-finite gradient or when no step down to t = 1e-14
-    decreases the merit. The Newton step falls back to -grad where the
-    Hessian solve fails or is not finite. Each round evaluates the pending
-    trial points of all starts with one stacked gradient, in the rounds of
-    :func:`_newton_roots`, and carries the accepted trial's gradient to the
-    next step; no start reads another's data, so every row ends exactly as
-    it would alone.
+    Returns (X, iterations, converged), one row or entry per start.
     """
     X = np.array(X0, dtype=float)
     k = len(X)
     iters = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
-    g = _primal.grad_primal(inst, X)
-    running = np.ones(k, dtype=bool)
+    valid, g, state = evaluate(X)
+    running = valid.copy()
     fresh = running.copy()          # at a new point, due for a Newton step
     step = np.zeros_like(X)
-    t0 = np.ones(k)                 # first trial step length
+    t0 = np.zeros(k)                # first trial step length
     tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
     last = np.zeros(k, dtype=int)   # halving accepted on the previous step
     merit = np.zeros(k)
     while True:
         S = fresh.nonzero()[0]
+        fresh[:] = False
+        iters[S] += 1
+        ginf = np.abs(g[S]).max(axis=1)
+        capped = iters[S] > max_iter
+        iters[S[capped]] = max_iter
+        converged[S] = ginf <= tol
+        running[S[capped | ~np.isfinite(ginf) | converged[S]]] = False
+        S = S[running[S]]
         if S.size:
-            fresh[S] = False
-            iters[S] += 1
-            gS = g[S]
-            ginf = np.abs(gS).max(axis=1)
-            capped = iters[S] > _PRIMAL_ITERATIONS
-            converged[S] = ~capped & (ginf <= tol)
-            more = ~(capped | ~np.isfinite(ginf) | converged[S])
-            running[S] = more
-            S, gS = S[more], gS[more]
-            if S.size:
-                dx = _solve_rows(_primal.hess_primal(inst, X[S]), -gS)
-                descent = ~np.isfinite(dx).all(axis=1)
-                dx[descent] = -gS[descent]
-                step[S] = dx
-                tried[S] = 0
-                merit[S] = _half_sq_norms(gS)
-        owner, t, halving = _trial_round(running, tried, last, t0, 1e-14)
+            step[S], t0[S], stop = direction(X[S], g[S], [a[S] for a in state])
+            running[S[stop]] = False
+            tried[S] = 0
+            merit[S] = _half_sq_norms(g[S])
+        owner, t, halving = _trial_round(running, tried, last, t0, floor)
         if owner.size == 0:  # no start is running
-            return X, converged
+            return X, iters, converged
         Xt = X[owner] + t[:, None] * step[owner]
-        gt = _primal.grad_primal(inst, Xt)
-        ok = np.isfinite(gt).all(axis=1)
-        ok[ok] = _half_sq_norms(gt[ok]) <= merit[owner[ok]] * (1.0 - 1e-4 * t[ok])
+        valid, gt, trial = evaluate(Xt)
+        ok = valid & np.isfinite(gt).all(axis=1)
+        ok[ok] = _half_sq_norms(gt[ok]) <= merit[owner[ok]] * (1.0 - decrease * t[ok])
         accepted, first = _first_acceptable(owner, ok)
         last[accepted] = halving[first]
         X[accepted] = Xt[first]
-        g[accepted] = gt[first]
+        for mine, theirs in zip((g, *state), (gt, *trial)):
+            mine[accepted] = theirs[first]
         fresh[accepted] = True
+
+
+def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
+    """The dual root search: :func:`_lockstep_newton` on the dual gradient
+    from every row of Z0 (k, m), with the steps of :func:`_directions`, the
+    first trial capped by the fraction-to-boundary rule on tau, and at most
+    ``cfg.max_iter`` steps per start.
+
+    Returns (Z, iterations, converged); merit-stationary non-roots are
+    reported unconverged so the caller can discard them.
+    """
+    p = inst.p
+
+    def evaluate(Z):
+        pts = _dual.evaluate(inst, Z)
+        return pts.valid, pts.grad, pts
+
+    def direction(Z, g, rows):
+        dz, flat = _directions(inst, Z[:, :p], _dual.Points(*rows))
+        t0 = np.minimum(1.0, _tau_step_caps(Z[:, :p], dz[:, :p], BOUNDARY_MARGIN))
+        return dz, t0, flat
+
+    return _lockstep_newton(evaluate, direction, Z0, cfg.max_iter, GRAD_TOL, 1e-16, 2e-4)
+
+
+# Newton steps of each primal-seeded start
+_PRIMAL_ITERATIONS = 39
+
+
+def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
+    """The primal harvest: :func:`_lockstep_newton` on the primal gradient
+    from every row of X0 (k, n), with at most ``_PRIMAL_ITERATIONS`` full
+    Newton steps per start, falling back to -grad where the Hessian solve
+    fails or is not finite.
+
+    Returns (X, converged), one row or entry per start.
+    """
+    def evaluate(X):
+        return np.ones(len(X), dtype=bool), _primal.grad_primal(inst, X), ()
+
+    def direction(X, g, _):
+        dx = _solve_rows(_primal.hess_primal(inst, X), -g)
+        descent = ~np.isfinite(dx).all(axis=1)
+        dx[descent] = -g[descent]
+        return dx, np.ones(len(X)), np.zeros(len(X), dtype=bool)
+
+    X, _, converged = _lockstep_newton(evaluate, direction, X0, _PRIMAL_ITERATIONS,
+                                       tol, 1e-14, 1e-4)
+    return X, converged
 
 
 def _dedup(points: Iterable[np.ndarray]) -> list[np.ndarray]:
@@ -609,19 +610,23 @@ def triality_classify(inst: ProblemInstance, pair: CriticalPair,
 def make_pair(inst: ProblemInstance, zeta: DualPoint,
               factor: Optional[_dual.ShiftedHessian] = None) -> Optional[CriticalPair]:
     """Build and classify the critical pair at a dual root; None when tau is
-    outside the open simplex, the point is singular or it fails the
-    criticality filter. ``factor``, when given, is the factorisation of
-    G(zeta), which is then not built again."""
+    outside the open simplex, the point is singular, its duality gap
+    exceeds ``GAP_RTOL * (1 + |primal value|)`` or it fails the criticality
+    filter. ``factor``, when given, is the factorisation of G(zeta), which
+    is then not built again."""
     G = _factor(inst, zeta, factor)
     if G is None:
         return None
     x = G.x_of_f
     pv = _primal.eval_primal(inst, x)
     dv = _dual.eval_dual(inst, zeta, factor=G)
+    gap = abs(pv - dv)
+    if gap > GAP_RTOL * (1.0 + abs(pv)):
+        return None
     pair = CriticalPair(x=x, zeta=zeta, primal_value=pv, dual_value=dv,
                         region=G.region,
                         classification=Classification.UNCLASSIFIED,
-                        gap=abs(pv - dv))
+                        gap=gap)
     try:
         return triality_classify(inst, pair, factor=G)
     except NotCriticalError:
@@ -642,7 +647,8 @@ def solve_global(inst: ProblemInstance,
     Raises :class:`HardCaseError` when no interior starting point can be
     found or the ascent stalls on the region boundary without reaching a
     critical point (the known remedy is a perturbation of the load, which
-    this solver does not attempt). The certificate is weak duality,
+    this solver does not attempt), or on the ``BOUNDARY_MARGIN`` floor of
+    tau or of the simplex slack. The certificate is weak duality,
     Pi(x) >= Pi^d(zeta) on the positive-definite region, which holds for
     any number of measure components.
     """
@@ -653,11 +659,18 @@ def solve_global(inst: ProblemInstance,
             "no strictly feasible point of the positive-definite region found")
     z, pts, iters, converged = _newton_ascent(inst, *start, cfg)
     if not converged:
+        context = dict(min_eig=float(pts.w[0, 0]),
+                       grad_inf=float(np.max(np.abs(pts.grad[0]))), iterations=iters)
+        # the smallest of tau and the slack: at the margin the ascent stops
+        # on the floor of _tau_step_caps, wherever the region's boundary is
+        tau_min = float(np.min(np.append(z[:inst.p], 1.0 - z[:inst.p].sum())))
+        if tau_min <= 2.0 * BOUNDARY_MARGIN:
+            raise HardCaseError(
+                "dual ascent stalled at the simplex margin of tau; no critical "
+                "point farther inside the simplex", **context, tau_min=tau_min)
         raise HardCaseError(
             "dual ascent stalled at the boundary of the positive-definite "
-            "region; no interior critical point",
-            min_eig=float(pts.w[0, 0]), grad_inf=float(np.max(np.abs(pts.grad[0]))),
-            iterations=iters)
+            "region; no interior critical point", **context)
     pair = make_pair(inst, DualPoint.from_vector(z, inst.p))
     if pair is None or pair.region != Region.SA_PLUS:
         raise HardCaseError("ascent limit is not an interior critical point")

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from canodual import fixtures
 from canodual.dual import (
     assemble,
-    classify_region,
     conjugate_lse,
     conjugate_quartic,
     dual_weight_inverse,
@@ -15,7 +14,6 @@ from canodual.dual import (
     eval_dual,
     grad_dual,
     hess_dual,
-    recover_primal,
 )
 from canodual.errors import DomainError, SingularMatrixError
 from canodual.model import DualPoint, ProblemInstance, QuarticTerm, Region, validate
@@ -235,23 +233,23 @@ class TestDualDerivatives:
 class TestRegionAndRecovery:
     def test_benchmark_regions(self):
         inst1 = fixtures.example1()
-        assert classify_region(inst1, EX1_POINTS[0]) == Region.SA_PLUS
+        assert assemble(inst1, EX1_POINTS[0]).region == Region.SA_PLUS
         inst2 = fixtures.example2()
-        assert classify_region(inst2, zp(sigma=[-139.945])) == Region.SA_MINUS
-        assert classify_region(inst2, zp(sigma=[14.495])) == Region.INDEFINITE
+        assert assemble(inst2, zp(sigma=[-139.945])).region == Region.SA_MINUS
+        assert assemble(inst2, zp(sigma=[14.495])).region == Region.INDEFINITE
 
     def test_recover_benchmark_solutions(self):
         inst = fixtures.example1()
-        x = recover_primal(inst, EX1_POINTS[0])
+        x = assemble(inst, EX1_POINTS[0]).x_of_f
         assert x[0] == pytest.approx(1.004894, abs=1e-5)
         inst2 = fixtures.example2()
-        x = recover_primal(inst2, zp(sigma=[19.093]))
+        x = assemble(inst2, zp(sigma=[19.093])).x_of_f
         assert x == pytest.approx([5.6, 0.67], abs=5e-2)
 
     def test_no_load_recovers_origin(self, rng):
         inst = rand_instance(rng, n=3, f_scale=0.0)
         zeta = rand_feasible_zeta(rng, inst)
-        assert np.allclose(recover_primal(inst, zeta), 0.0, atol=1e-14)
+        assert np.allclose(assemble(inst, zeta).x_of_f, 0.0, atol=1e-14)
 
 
 def _singular_instance():

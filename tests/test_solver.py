@@ -74,8 +74,18 @@ class TestSolveGlobal:
         inst = validate(ProblemInstance(
             A=np.diag([-2.0, 1.0]), f=[0.0, 0.1],
             quartic_terms=(QuarticTerm(B=np.eye(2), c=-3.0, alpha=1.0),)))
-        with pytest.raises(HardCaseError):
+        with pytest.raises(HardCaseError, match="positive-definite region") as err:
             solve_global(inst)
+        assert "tau_min" not in err.value.context
+
+    def test_stall_at_the_simplex_margin_is_named(self):
+        # the minimiser pairs with tau = 2.4e-12, below the margin the ascent
+        # keeps; it stops on tau's floor with G well inside the positive region
+        inst = rand_instance(np.random.default_rng(17), 2, 1, 1, spd_quartic=True)
+        with pytest.raises(HardCaseError, match="simplex margin") as err:
+            solve_global(inst)
+        assert err.value.context["tau_min"] <= 2.0 * BOUNDARY_MARGIN
+        assert err.value.context["min_eig"] > 0.1
 
     def test_residual_below_tolerance(self):
         rep = solve_global(fixtures.example1())
@@ -200,6 +210,27 @@ class TestTriality:
                            classification=Classification.UNCLASSIFIED, gap=0.0)
         with pytest.raises(NotCriticalError):
             triality_classify(inst, raw)
+        # next to a root the gap meets its rule (1.3e-8) and the criticality
+        # filter rejects the point
+        root = solve_global(inst).best.zeta
+        near = DualPoint(tau=root.tau, sigma=root.sigma + 1e-5)
+        G = assemble(inst, near)
+        gap = abs(eval_primal(inst, G.x_of_f) - dual.eval_dual(inst, near, factor=G))
+        assert gap <= solver.GAP_RTOL and make_pair(inst, near) is None
+
+    def test_a_duality_gap_is_rejected(self):
+        """At a slack of 2**-53 the criticality filter's attainable-precision
+        limit reads thousands, so only the gap rule rejects this point: G is
+        positive definite, yet the primal value lies 1.6e5 above the dual
+        value, and far above the global minimum -22.09."""
+        inst = rand_instance(np.random.default_rng(53), n=2, p=1, r=2)
+        zeta = DualPoint(tau=np.array([0.9999999999999999]),
+                         sigma=np.array([4.735747756953528, 1.8742326050748794]))
+        G = assemble(inst, zeta)
+        assert G.region == Region.SA_PLUS
+        gap = abs(eval_primal(inst, G.x_of_f) - dual.eval_dual(inst, zeta, factor=G))
+        assert gap > 1e5
+        assert make_pair(inst, zeta) is None
 
     @pytest.mark.parametrize("example", [fixtures.example1, fixtures.example2])
     def test_given_factor_classifies_as_a_fresh_one(self, example):
@@ -536,13 +567,36 @@ class TestLockstepRoots:
         assert not converged[0] and seen["accepted"] == [h] * 5
         assert seen["calls"] == 1 + first_rounds + 4 + (floor_rounds - 1)
 
+    def test_the_point_after_the_last_step_is_tested(self):
+        """A start that first meets the tolerance after step j converges,
+        with j iterations, when j steps are allowed, and ends unconverged at
+        its point after step j - 1 when only j - 1 are."""
+        rng = np.random.default_rng(3)
+        inst = rand_instance(rng, n=2, p=1, r=1)
+        free = SolverConfig(num_starts=8, max_iter=80)
+        for z0 in _sample_starts(inst, free, rng):
+            _, _, ok, halvings = _serial_newton_root(inst, z0, free)
+            if ok and len(halvings) >= 3:
+                break
+        else:
+            pytest.fail("no start converges after three or more steps")
+        j = len(halvings)
+        z, _, _, _ = _serial_newton_root(inst, z0, SolverConfig(max_iter=j))
+        Z, iters, converged = _newton_roots(inst, z0[None], SolverConfig(max_iter=j))
+        assert converged[0] and iters[0] == j and np.array_equal(Z[0], z)
+        z, _, _, _ = _serial_newton_root(inst, z0, SolverConfig(max_iter=j - 1))
+        Z, iters, converged = _newton_roots(inst, z0[None], SolverConfig(max_iter=j - 1))
+        assert not converged[0] and iters[0] == j - 1 and np.array_equal(Z[0], z)
+
 
 def _serial_primal_root(inst, x, tol):
     """Reference for the lockstep harvest: the primal Newton iteration of one
-    start, one point at a time. Returns (x, converged, how it ended,
-    halvings), with ``halvings`` as in :func:`_serial_newton_root`."""
+    start, one point at a time, taking at most ``solver._PRIMAL_ITERATIONS``
+    steps and testing the point after the last one. Returns (x, converged,
+    how it ended, halvings), with ``halvings`` as in
+    :func:`_serial_newton_root`."""
     halvings = []
-    for _ in range(40):
+    for _ in range(solver._PRIMAL_ITERATIONS):
         g = grad_primal(inst, x)
         ginf = float(np.max(np.abs(g)))
         if not np.isfinite(ginf):
@@ -566,7 +620,8 @@ def _serial_primal_root(inst, x, tol):
             return x, False, "exhausted", halvings + [None]
         halvings.append(h)
         x = x + t * step
-    return x, False, "capped", halvings
+    ok = float(np.max(np.abs(grad_primal(inst, x)))) <= tol
+    return x, ok, "converged" if ok else "capped", halvings
 
 
 class TestLockstepHarvest:
@@ -598,6 +653,30 @@ class TestLockstepHarvest:
         and however deep each line search backtracks."""
         assert self._check_rows(0) == {"converged", "capped", "exhausted", "non-finite",
                                        "deep twice", "floor after deep"}
+
+    def test_the_point_after_the_last_step_is_tested(self, monkeypatch):
+        """The harvest's cap rule is the dual search's: a start that first
+        meets the tolerance after step j converges when
+        ``_PRIMAL_ITERATIONS`` is j, and ends at its point after step j - 1,
+        unconverged, when it is j - 1."""
+        rng = np.random.default_rng(5)
+        inst = rand_instance(rng, n=2, p=1, r=1)
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(inst.f))))
+        monkeypatch.setattr(solver, "_PRIMAL_ITERATIONS", 80)
+        for x0 in rng.standard_normal((8, 2)) * 2.5:
+            x, ok, _, halvings = _serial_primal_root(inst, x0, tol)
+            if ok and len(halvings) >= 3:
+                break
+        else:
+            pytest.fail("no start converges after three or more steps")
+        j = len(halvings)
+        monkeypatch.setattr(solver, "_PRIMAL_ITERATIONS", j)
+        X, converged = _primal_roots(inst, x0[None], tol)
+        assert converged[0] and np.array_equal(X[0], x)
+        monkeypatch.setattr(solver, "_PRIMAL_ITERATIONS", j - 1)
+        x, _, ending, _ = _serial_primal_root(inst, x0, tol)
+        X, converged = _primal_roots(inst, x0[None], tol)
+        assert ending == "capped" and not converged[0] and np.array_equal(X[0], x)
 
     def test_failed_hessian_solves_fall_back_row_by_row(self, monkeypatch):
         """With a third of the Hessians refused as singular, a stacked solve
