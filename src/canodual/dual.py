@@ -116,9 +116,15 @@ def _factor(inst: ProblemInstance, Z: np.ndarray):
     w, U = np.linalg.eigh(G)
     tol = SING_TOL * (1.0 + np.abs(G).max(axis=(1, 2)))
     nonsingular = ~(np.abs(w).min(axis=1) <= tol)  # a NaN eigenvalue passes
-    Un = U[nonsingular]
-    x = (Un @ ((Un.transpose(0, 2, 1) @ inst.f) / w[nonsingular])[..., None])[..., 0]
+    Un, wn = _rows_where(nonsingular, U, w)
+    x = (Un @ ((Un.transpose(0, 2, 1) @ inst.f) / wn)[..., None])[..., 0]
     return G, w, U, tol, nonsingular, x
+
+
+def _rows_where(mask: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """The rows of each array where ``mask`` holds: the arrays themselves,
+    not copied, when it holds at every row."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
 
 
 def _gradients(inst: ProblemInstance, Z: np.ndarray, x: np.ndarray):
@@ -138,17 +144,18 @@ def evaluate(inst: ProblemInstance, Z: np.ndarray) -> Points:
     """The dual kernel at every row of Z (k, m), with one stacked ``eigh``.
     Each row rounds as it would alone."""
     k, p = len(Z), inst.p
-    rows = np.arange(k)
+    inside = np.ones(k, dtype=bool)
     if p:
         tau = Z[:, :p]
-        rows = rows[(tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)]
-    _, w, U, _, nonsingular, x = _factor(inst, Z[rows])
-    rows = rows[nonsingular]
-    grad, Mx = _gradients(inst, Z[rows], x)
-    found = Points(np.ones(rows.size, dtype=bool), grad, U[nonsingular],
-                   w[nonsingular], x, Mx)
-    if rows.size == k:  # every row valid, the usual case: nothing to spread
+        inside = (tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)
+    Zin, = _rows_where(inside, Z)
+    _, w, U, _, nonsingular, x = _factor(inst, Zin)
+    Zv, U, w = _rows_where(nonsingular, Zin, U, w)
+    grad, Mx = _gradients(inst, Zv, x)
+    found = Points(np.ones(len(Zv), dtype=bool), grad, U, w, x, Mx)
+    if len(Zv) == k:  # every row valid, the usual case: nothing to spread
         return found
+    rows = inside.nonzero()[0][nonsingular]
     pts = Points(np.zeros(k, dtype=bool),
                  *(np.full((k,) + a.shape[1:], np.nan) for a in found[1:]))
     for mine, value in zip(pts, found):

@@ -104,9 +104,15 @@ def eval_primal(inst: ProblemInstance, x: np.ndarray) -> float:
     return quad + eval_lse(inst, x) + eval_quartic(inst, x)
 
 
-def duality_map(inst: ProblemInstance, x: np.ndarray) -> DualPoint:
-    """Constitutive dual point zeta(x) of one point x."""
-    return DualPoint.from_vector(_constitutive(inst, _one_row(x))[0][0], inst.p)
+def duality_map(inst: ProblemInstance, x: np.ndarray):
+    """Constitutive dual point zeta(x).
+
+    A ``DualPoint`` at one point x (n,); the flat (k, m) rows (tau, sigma)
+    at a stack of points X (k, n), each row rounded as the point alone.
+    """
+    X, one = _rows(x)
+    Z = _constitutive(inst, X)[0]
+    return DualPoint.from_vector(Z[0], inst.p) if one else Z
 
 
 def measure_jacobian(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:

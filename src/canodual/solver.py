@@ -29,12 +29,18 @@ of several. The accepted trial is still the first acceptable one in
 halving order, so the batch sizes change only how many evaluations a
 search makes, never its result.
 
+For m = 1 the search also scans the dual derivative on a grid of the
+single weight and bisects every sign-change cell in lockstep
+(``_univariate_roots``, ``_bisect_cells``), one kernel call per round, each
+cell ending bitwise as ``univariate.refine`` would bisect it alone.
+
 Every dual evaluation inside the solvers calls the stacked kernel of
 ``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m) array of
-flat dual vectors; the ascent, its interior start and the refinement of
-the m = 1 scan pass one row at a time. ``make_pair`` and
-``triality_classify``, at the API edge, take a ``DualPoint`` and call the
-per-point functions of ``dual``.
+flat dual vectors; the ascent and its interior start pass one row at a
+time. ``find_critical_points`` keeps its starts, the primal seeds
+(``primal.duality_map`` on a stack) and its roots as flat arrays;
+``make_pair`` and ``triality_classify``, at the API edge, take a
+``DualPoint`` and call the per-point functions of ``dual``.
 
 Classification semantics at a dual critical point zeta with recovered x:
 
@@ -48,6 +54,7 @@ Classification semantics at a dual critical point zeta with recovered x:
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -56,7 +63,6 @@ import numpy as np
 
 from . import dual as _dual
 from . import primal as _primal
-from . import univariate
 from .dual import BOUNDARY_MARGIN, GRAD_TOL
 from .errors import HardCaseError, NotCriticalError
 from .model import (
@@ -77,8 +83,17 @@ class SolverConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("max_iter", "num_starts", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # ints and numpy integers
+            except TypeError:
+                raise ValueError(f"SolverConfig.{name} must be an integer, "
+                                 f"got {value!r}") from None
         if self.num_starts < 1 or self.max_iter < 1:
             raise ValueError("num_starts and max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"SolverConfig.seed must be >= 0, got {self.seed!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -127,16 +142,18 @@ def _stratified_uniforms(rng: np.random.Generator, num: int, dims: int) -> np.nd
 
 
 def _tau_from_uniforms(u: np.ndarray, margin: float) -> np.ndarray:
-    # flat Dirichlet over (tau, slack) via exponential spacings, floored
-    # away from the boundary
-    p = u.size - 1
+    """Rows tau (k, p) from the uniforms u (k, p + 1): a flat Dirichlet over
+    (tau, slack) via exponential spacings, floored away from the boundary;
+    the simplex centre for a row of zeros."""
+    p = u.shape[1] - 1
     w = -np.log1p(-np.clip(u, 0.0, 1.0 - 1e-12))
-    total = w.sum()
-    tau = w[:p] / total if total > 0 else np.full(p, 1.0 / (p + 1))
+    total = w.sum(axis=1, keepdims=True)
+    tau = np.full((len(u), p), 1.0 / (p + 1))
+    np.divide(w[:, :p], total, out=tau, where=total > 0)
     tau = np.maximum(tau, margin)
-    total = tau.sum()
-    if total >= 1.0 - margin:
-        tau *= (1.0 - (p + 1) * margin) / total
+    total = tau.sum(axis=1)
+    crowded = total >= 1.0 - margin
+    tau[crowded] *= ((1.0 - (p + 1) * margin) / total[crowded])[:, None]
     return tau
 
 
@@ -161,8 +178,8 @@ def _sample_starts(inst: ProblemInstance, cfg: SolverConfig,
     lo, hi = _sigma_box(inst) if inst.r else (np.zeros(0), np.zeros(0))
     u_tau = _stratified_uniforms(rng, cfg.num_starts, inst.p + 1 if inst.p else 0)
     u_sigma = _stratified_uniforms(rng, cfg.num_starts, inst.r)
-    tau = (np.array([_tau_from_uniforms(u, BOUNDARY_MARGIN) for u in u_tau])
-           if inst.p else np.zeros((cfg.num_starts, 0)))
+    tau = (_tau_from_uniforms(u_tau, BOUNDARY_MARGIN) if inst.p
+           else np.zeros((cfg.num_starts, 0)))
     sigma = lo + u_sigma * (hi - lo)
     return np.hstack([tau, sigma])
 
@@ -181,62 +198,70 @@ def _primal_seeded_starts(inst: ProblemInstance, cfg: SolverConfig,
     fscale = 1.0 + float(np.max(np.abs(inst.f), initial=0.0))
     X0 = rng.standard_normal((max(2, cfg.num_starts // 8), inst.n)) * (2.5 * fscale)
     X, converged = _primal_roots(inst, X0, 1e-8 * fscale)
-    starts = [_primal.duality_map(inst, x) for x in X[converged]]
-    return np.reshape([z.vector() for z in starts if z.tau_interior(BOUNDARY_MARGIN)],
-                      (-1, inst.m))
+    Z = _primal.duality_map(inst, X[converged])
+    if inst.p:  # keep the rows with tau inside the margin-interior simplex
+        tau = Z[:, :inst.p]
+        Z = Z[(tau.min(axis=1) > BOUNDARY_MARGIN) & (tau.sum(axis=1) < 1.0 - BOUNDARY_MARGIN)]
+    return Z
 
 
-def _univariate_scan_values(inst: ProblemInstance, grid: np.ndarray) -> np.ndarray:
-    """Dual derivative on a grid of the single weight, batched; NaN where G
-    is singular (or too close to it)."""
-    M = inst.Q_stack[0] if inst.p else inst.B_stack[0]
-    G = inst.A[None, :, :] + grid[:, None, None] * M[None, :, :]
-    w = np.linalg.eigvalsh(G)
-    scale = 1.0 + np.max(np.abs(G), axis=(1, 2))
-    valid = np.min(np.abs(w), axis=1) > _dual.SING_TOL * scale
-    out = np.full(grid.size, np.nan)
-    if np.any(valid):
-        rhs = np.broadcast_to(inst.f, (int(valid.sum()), inst.n))[..., None]
-        x = np.linalg.solve(G[valid], rhs)[..., 0]
-        quad = 0.5 * np.einsum("ki,ij,kj->k", x, M, x)
-        t = grid[valid]
-        if inst.p:
-            out[valid] = quad + inst.d[0] - np.log(t / (1.0 - t)) / inst.beta
-        else:
-            out[valid] = quad + inst.c[0] - t / inst.alpha[0]
-    return out
-
-
-def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> list[np.ndarray]:
-    """Deterministic sign-change scan for m = 1 instances.
+def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> np.ndarray:
+    """Deterministic sign-change scan for m = 1 instances: the roots it
+    resolves as rows of a (k, 1) array, none when m > 1.
 
     Multistart Newton can step over thin basins next to the singular points
     of G; a dense bracket-and-bisect over the same sampling interval is
     cheap in one variable and recovers every sign change of the dual
-    derivative (grid cells touching a singular point are skipped)."""
+    derivative (grid cells touching a singular point are skipped). The grid
+    is one kernel call, and every cell is bisected by :func:`_bisect_cells`.
+    """
     if inst.m != 1:
-        return []
+        return np.zeros((0, inst.m))
     if inst.r == 1:
         lo, hi = _sigma_box(inst)
         grid = np.linspace(float(lo[0]), float(hi[0]), 4096)
     else:
         grid = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
-
-    def deriv_at(s: float):
-        g = float(_dual.evaluate(inst, np.array([[s]])).grad[0, 0])
-        return g if np.isfinite(g) else None
-
-    vals = _univariate_scan_values(inst, grid)
-    roots: list[np.ndarray] = []
+    vals = _dual.evaluate(inst, grid[:, None]).grad[:, 0]
     finite = np.isfinite(vals)
-    sign_change = np.nonzero(finite[:-1] & finite[1:]
-                             & (vals[:-1] * vals[1:] <= 0.0))[0]
-    for i in sign_change:
-        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
-                                       float(vals[i]), GRAD_TOL, cfg.max_iter, rtol=1e-15)
-        if fm is not None and abs(fm) <= 10.0 * GRAD_TOL:
-            roots.append(np.array([mid]))
-    return roots
+    cell = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]
+    x, fx = _bisect_cells(inst, grid[cell], grid[cell + 1], vals[cell], cfg.max_iter)
+    return x[np.abs(fx) <= 10.0 * GRAD_TOL, None]
+
+
+def _bisect_cells(inst: ProblemInstance, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                  max_iter: int):
+    """Bisection of the m = 1 dual derivative on every cell [a, b] where it
+    changes sign (fa its value at a), in lockstep: one kernel call per round.
+
+    Each cell ends bitwise as ``univariate.refine(fn, a, b, fa, GRAD_TOL,
+    max_iter, rtol=1e-15)`` ends it alone: it stops at the first midpoint
+    where the derivative is undefined or at most GRAD_TOL, or where the
+    cell is narrower than 1e-15 (1 + |midpoint|); after ``max_iter`` rounds
+    its last midpoint is evaluated once more. Returns the final midpoints
+    and the derivative there, NaN where it is undefined.
+    """
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    x = 0.5 * (a + b)
+    fx = np.empty_like(x)
+    live = np.arange(x.size)
+    for it in range(max_iter + 1):
+        if live.size == 0:
+            break
+        f = _dual.evaluate(inst, x[live, None]).grad[:, 0]
+        fx[live] = f
+        if it == max_iter:
+            break
+        xl = x[live]
+        stop = (~np.isfinite(f) | (np.abs(f) <= GRAD_TOL)
+                | (b[live] - a[live] <= 1e-15 * (1.0 + np.abs(xl))))
+        live, f, xl = live[~stop], f[~stop], xl[~stop]
+        left = fa[live] * f <= 0.0  # the sign change is in [a, x]
+        b[live[left]] = xl[left]
+        right = live[~left]
+        a[right], fa[right] = xl[~left], f[~left]
+        x[live] = 0.5 * (a[live] + b[live])
+    return x, fx
 
 
 def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
@@ -696,8 +721,7 @@ def find_critical_points(inst: ProblemInstance,
     rng = np.random.default_rng(cfg.seed)
     Z, iters, converged = _newton_roots(inst, np.vstack(
         [_sample_starts(inst, cfg, rng), _primal_seeded_starts(inst, cfg, rng)]), cfg)
-    roots = list(Z[converged])
-    roots.extend(_univariate_roots(inst, cfg))
+    roots = np.vstack([Z[converged], _univariate_roots(inst, cfg)])
     # the report counts the sampled starts; the primal-seeded ones follow them
     total_iters = int(iters[:cfg.num_starts].sum())
     converged_starts = int(converged[:cfg.num_starts].sum())

@@ -235,3 +235,17 @@ class TestStacks:
                 assert np.array_equal(duality_map(inst, x).vector(), z1)
                 assert np.array_equal(G[i], g1) and np.array_equal(G[i], grad_primal(inst, x))
                 assert np.array_equal(H[i], h1) and np.array_equal(H[i], hess_primal(inst, x))
+
+    def test_stacked_duality_map_rows_match_one_point_calls(self):
+        # one point gives a DualPoint, a stack its flat (tau, sigma) rows,
+        # each bitwise as the point alone; no rows give none
+        rng = np.random.default_rng(17)
+        for n, p, r in [(n, p, m - p) for n in (1, 2, 3, 4) for m in (1, 2, 3)
+                        for p in range(m + 1)]:
+            inst = rand_instance(rng, n=n, p=p, r=r)
+            X = rng.standard_normal((6, n)) * 3.0
+            Z = duality_map(inst, X)
+            assert Z.shape == (6, p + r)
+            for z, x in zip(Z, X):
+                assert np.array_equal(z, duality_map(inst, x).vector())
+            assert duality_map(inst, X[:0]).shape == (0, p + r)

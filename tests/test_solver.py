@@ -3,11 +3,12 @@ import zlib
 import numpy as np
 import pytest
 
-from canodual import dual, fixtures, primal, solver
+from canodual import dual, fixtures, primal, solver, univariate
 from canodual.errors import HardCaseError, NotCriticalError
 from canodual.model import (
     Classification,
     DualPoint,
+    LseTerm,
     ProblemInstance,
     QuarticTerm,
     Region,
@@ -26,9 +27,13 @@ from canodual.oracle import grid_global_min
 from canodual.primal import eval_primal, grad_primal, hess_primal
 from canodual.solver import (
     SolverConfig,
+    _bisect_cells,
     _newton_roots,
     _primal_roots,
     _sample_starts,
+    _sigma_box,
+    _tau_from_uniforms,
+    _univariate_roots,
     find_critical_points,
     make_pair,
     solve_global,
@@ -695,3 +700,167 @@ class TestLockstepHarvest:
         monkeypatch.setattr(np.linalg, "solve", flaky)
         self._check_rows(1)
         assert refused["stacked"] > 0 and refused["one"] > 0
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [("max_iter", 3.5), ("num_starts", 2.5),
+                                              ("seed", 1.5), ("max_iter", 4.0),
+                                              ("seed", "7"), ("num_starts", None)])
+    def test_a_non_integral_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"SolverConfig.{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+    def test_a_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="SolverConfig.seed must be >= 0"):
+            SolverConfig(seed=np.int64(-1))
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = SolverConfig(max_iter=np.int64(40), num_starts=np.int32(4), seed=np.uint8(3))
+        rep = find_critical_points(fixtures.example1(), cfg)
+        assert rep.critical_pairs
+
+
+def _tau_one_row(u, margin):
+    """Reference for the vectorised sampling: one row of uniforms (p + 1,)
+    to tau (p,), a point at a time."""
+    p = u.size - 1
+    w = -np.log1p(-np.clip(u, 0.0, 1.0 - 1e-12))
+    total = w.sum()
+    tau = w[:p] / total if total > 0 else np.full(p, 1.0 / (p + 1))
+    tau = np.maximum(tau, margin)
+    total = tau.sum()
+    if total >= 1.0 - margin:
+        tau *= (1.0 - (p + 1) * margin) / total
+    return tau
+
+
+class TestStartSampling:
+    @pytest.mark.parametrize("p", [1, 2, 3, 9])
+    def test_tau_rows_match_the_per_row_sampling(self, p):
+        """Bitwise, on random rows, all-zero rows (the simplex centre), rows
+        clipped at 1 and rows crowded onto the margin (rescaled)."""
+        rng = np.random.default_rng(p)
+        crowded = np.zeros(p + 1)
+        crowded[0] = 1.0
+        U = np.vstack([rng.uniform(0.0, 1.0, (40, p + 1)), np.zeros(p + 1), crowded,
+                       np.ones(p + 1), rng.uniform(0.0, 1e-9, (3, p + 1))])
+        tau = _tau_from_uniforms(U, BOUNDARY_MARGIN)
+        assert tau.shape == (len(U), p)
+        for row, u in zip(tau, U):
+            assert np.array_equal(row, _tau_one_row(u, BOUNDARY_MARGIN))
+        assert np.array_equal(tau[40], np.full(p, 1.0 / (p + 1)))
+        assert tau[41].sum() < 1.0 - BOUNDARY_MARGIN <= _tau_one_row(crowded, 0.0).sum()
+
+
+def _scan_grid(inst):
+    """The m = 1 scan's grid: sigma over its sampling box, or tau inside the
+    margin."""
+    if inst.r == 1:
+        lo, hi = _sigma_box(inst)
+        return np.linspace(float(lo[0]), float(hi[0]), 4096)
+    return np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
+
+
+def _scan_cells(inst):
+    """The grid, its derivative values and the sign-change cells of the
+    m = 1 scan."""
+    grid = _scan_grid(inst)
+    vals = evaluate(inst, grid[:, None]).grad[:, 0]
+    finite = np.isfinite(vals)
+    cells = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]
+    return grid, vals, cells
+
+
+def _serial_scan(inst, max_iter):
+    """Reference for the lockstep bisection: ``univariate.refine`` on each
+    sign-change cell alone, over one-row kernel calls. Returns the final
+    midpoints, the derivative there (NaN where undefined) and the roots the
+    scan keeps."""
+    def deriv_at(s):
+        g = float(evaluate(inst, np.array([[s]])).grad[0, 0])
+        return g if np.isfinite(g) else None
+
+    grid, vals, cells = _scan_cells(inst)
+    x, fx, roots = [], [], []
+    for i in cells:
+        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
+                                       float(vals[i]), GRAD_TOL, max_iter, rtol=1e-15)
+        x.append(mid)
+        fx.append(np.nan if fm is None else fm)
+        if fm is not None and abs(fm) <= 10.0 * GRAD_TOL:
+            roots.append([mid])
+    return np.array(x), np.array(fx), np.reshape(roots, (-1, 1))
+
+
+def _pole_in_cell(offset):
+    """An n = 2, r = 1 instance whose scan has a sign-change cell with a pole
+    of G^{-1} inside it, ``offset`` of the cell's width from its left end.
+    The pole's mode carries a load of 1e-6, so it barely moves the grid
+    values, and it sits in a cell where the other mode's derivative changes
+    sign."""
+    def instance(a2):
+        return validate(ProblemInstance(
+            A=np.diag([-3.0, a2]), f=[1.0, 1e-6],
+            quartic_terms=(QuarticTerm(B=np.eye(2), c=0.0, alpha=1.0),)))
+
+    grid = _scan_grid(instance(0.0))  # the box depends on max |a| = 3 only
+    smooth = 0.5 / (grid - 3.0) ** 2 - grid
+    j = np.nonzero((smooth[:-1] * smooth[1:] <= 0.0) & (np.abs(grid[:-1]) < 2.0))[0][0]
+    return instance(-(grid[j] + offset * (grid[j + 1] - grid[j])))
+
+
+def _singular_grid_point():
+    """An n = 2, p = 1 instance with G singular at a point of the tau grid."""
+    t = _scan_grid(validate(ProblemInstance(
+        A=np.eye(1), f=[1.0], lse_terms=(LseTerm(Q=np.eye(1), d=0.0),))))[1500]
+    return validate(ProblemInstance(A=np.diag([-t, 0.7]), f=[0.3, 0.5],
+                                    lse_terms=(LseTerm(Q=np.eye(2), d=0.2),)))
+
+
+class TestUnivariateScan:
+    def _instances(self):
+        rng = np.random.default_rng(0)
+        shapes = [(n, p) for n in range(1, 5) for p in (0, 1)] * 4
+        return ([rand_instance(rng, n=n, p=p, r=1 - p) for n, p in shapes]
+                + [_pole_in_cell(0.5), _pole_in_cell(0.3), _singular_grid_point()])
+
+    @pytest.mark.parametrize("max_iter", [200, 5])
+    def test_lockstep_bisection_matches_the_serial_refinement(self, max_iter):
+        """Every cell ends bitwise as ``univariate.refine`` ends it alone, and
+        the scan keeps the same roots, also when the cap of 5 rounds cuts the
+        bisections short. The sample has cells straddling a pole (the
+        inertia of G differs at their ends), a grid point where G is
+        singular, and cells ending on each stop rule."""
+        cfg = SolverConfig(max_iter=max_iter)
+        straddling = singular_points = 0
+        endings = set()
+        for inst in self._instances():
+            grid, vals, cells = _scan_cells(inst)
+            x, fx = _bisect_cells(inst, grid[cells], grid[cells + 1], vals[cells], max_iter)
+            x_ref, fx_ref, roots = _serial_scan(inst, max_iter)
+            assert np.array_equal(x, x_ref)
+            assert np.array_equal(fx, fx_ref, equal_nan=True)
+            assert np.array_equal(_univariate_roots(inst, cfg), roots)
+            w = evaluate(inst, grid[:, None]).w
+            negative = (w < 0.0).sum(axis=1)
+            straddling += int(np.count_nonzero(negative[cells] != negative[cells + 1]))
+            singular_points += int(np.count_nonzero(~np.isfinite(vals)))
+            endings |= {"undefined" if np.isnan(f) else "root" if abs(f) <= GRAD_TOL
+                        else "other" for f in fx}
+        assert straddling >= 2 and singular_points >= 1
+        assert endings == ({"undefined", "root", "other"} if max_iter == 200
+                           else {"undefined", "other"})
+
+    def test_the_scan_is_one_kernel_call_per_round(self, monkeypatch):
+        """The grid is one kernel call, and each bisection round one more."""
+        kernel, calls = dual.evaluate, []
+
+        def counted(inst, Z):
+            calls.append(len(Z))
+            return kernel(inst, Z)
+
+        monkeypatch.setattr(dual, "evaluate", counted)
+        roots = _univariate_roots(_pole_in_cell(0.3), SolverConfig(max_iter=200))
+        assert len(roots) >= 2
+        assert calls[0] == 4096 and 1 < len(calls) <= 201
+        assert calls[1] == 3 and calls == sorted(calls, reverse=True)
