@@ -3,17 +3,16 @@
 check of one tree against another.
 
     python3 scripts/fingerprint.py --jobs 2
-    python3 scripts/fingerprint.py --workload enumerate-small --sets 4
 
-For each workload of BENCHMARK.json and each input set 0..SETS-1, draws the
-blocks the benchmark takes its exact counts over (through
-``perfbench/workloads.py``), makes the benchmark's call on every case and
-hashes all it returns: every field of every critical pair (floats by their
-exact bits), the existence verdict, the iterations, the residual norm and
-the notes, or the type of the raised error. Prints one SHA-256 per
-workload; two trees print the same line for a workload exactly when every
-one of those outputs is bitwise the same. The library is imported from the
-``src`` of the checkout the script lives in.
+For each workload of BENCHMARK.json and each of its RECORDED_SEEDS input
+sets (0-31), draws the blocks the benchmark takes its exact counts over
+(through ``perfbench/workloads.py``), makes the benchmark's call on every
+case and hashes all it returns: every field of every critical pair
+(floats by their exact bits), the existence verdict, the iterations, the
+residual norm and the notes, or the type of the raised error. Prints one
+SHA-256 per workload; two trees print the same line for a workload exactly
+when every one of those outputs is bitwise the same. The library is
+imported from the ``src`` of the checkout the script lives in.
 """
 
 from __future__ import annotations
@@ -29,14 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
-
-
-def _init():
-    run.pin_blas_threads()
-    sys.path.insert(0, str(run.SRC))
-    import warnings
-    warnings.filterwarnings("ignore", message="m = .* measure components",
-                            category=RuntimeWarning)
+from record_counts import _init  # noqa: E402
 
 
 def _fields(result):
@@ -72,24 +64,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append",
                         help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--sets", type=int, default=32,
-                        help="input sets 0..SETS-1 (default 32, every recorded set)")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     _init()
-    from workloads import WORKLOADS
+    from workloads import RECORDED_SEEDS, WORKLOADS
 
     names = args.workload or [w.name for w in WORKLOADS.values() if w.in_benchmark]
-    jobs = [(name, seed) for name in names for seed in range(args.sets)]
+    jobs = [(name, seed) for name in names for seed in range(RECORDED_SEEDS)]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(max(1, args.jobs), initializer=_init) as pool:
         digests = {(w, s): d for w, s, d in pool.imap_unordered(digest_for, jobs)}
     for name in names:
         h = hashlib.sha256()
-        for seed in range(args.sets):
+        for seed in range(RECORDED_SEEDS):
             h.update(digests[name, seed].encode())
-        print(f"{name} sets 0-{args.sets - 1}: {h.hexdigest()}")
+        print(f"{name} sets 0-{RECORDED_SEEDS - 1}: {h.hexdigest()}")
     return 0
 
 

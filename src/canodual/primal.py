@@ -104,11 +104,13 @@ def eval_primal(inst: ProblemInstance, x: np.ndarray) -> float:
     return quad + eval_lse(inst, x) + eval_quartic(inst, x)
 
 
-def duality_map(inst: ProblemInstance, x: np.ndarray):
+def duality_map(inst: ProblemInstance, x: np.ndarray) -> DualPoint | np.ndarray:
     """Constitutive dual point zeta(x).
 
     A ``DualPoint`` at one point x (n,); the flat (k, m) rows (tau, sigma)
-    at a stack of points X (k, n), each row rounded as the point alone.
+    at a stack of points X (k, n), each row rounded as the point alone. Any
+    2-D input is a stack, as for ``grad_primal`` and ``hess_primal``: a
+    (1, n) array gives a (1, m) array, not a ``DualPoint``.
     """
     X, one = _rows(x)
     Z = _constitutive(inst, X)[0]

@@ -30,17 +30,16 @@ halving order, so the batch sizes change only how many evaluations a
 search makes, never its result.
 
 For m = 1 the search also scans the dual derivative on a grid of the
-single weight and bisects every sign-change cell in lockstep
-(``_univariate_roots``, ``_bisect_cells``), one kernel call per round, each
-cell ending bitwise as ``univariate.refine`` would bisect it alone.
+single weight with one kernel call and bisects every sign-change cell with
+``univariate.refine`` on one-row kernel calls (``_univariate_roots``).
 
 Every dual evaluation inside the solvers calls the stacked kernel of
 ``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m) array of
-flat dual vectors; the ascent and its interior start pass one row at a
-time. ``find_critical_points`` keeps its starts, the primal seeds
-(``primal.duality_map`` on a stack) and its roots as flat arrays;
-``make_pair`` and ``triality_classify``, at the API edge, take a
-``DualPoint`` and call the per-point functions of ``dual``.
+flat dual vectors; the ascent, its interior start and the m = 1
+bisections pass one row at a time. ``find_critical_points`` keeps its
+starts, the primal seeds (``primal.duality_map`` on a stack) and its roots
+as flat arrays; ``make_pair`` and ``triality_classify``, at the API edge,
+take a ``DualPoint`` and call the per-point functions of ``dual``.
 
 Classification semantics at a dual critical point zeta with recovered x:
 
@@ -63,6 +62,7 @@ import numpy as np
 
 from . import dual as _dual
 from . import primal as _primal
+from . import univariate
 from .dual import BOUNDARY_MARGIN, GRAD_TOL
 from .errors import HardCaseError, NotCriticalError
 from .model import (
@@ -213,7 +213,8 @@ def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> np.ndarray:
     of G; a dense bracket-and-bisect over the same sampling interval is
     cheap in one variable and recovers every sign change of the dual
     derivative (grid cells touching a singular point are skipped). The grid
-    is one kernel call, and every cell is bisected by :func:`_bisect_cells`.
+    is one kernel call; each cell is refined by ``univariate.refine`` on
+    one-row kernel calls.
     """
     if inst.m != 1:
         return np.zeros((0, inst.m))
@@ -222,46 +223,20 @@ def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> np.ndarray:
         grid = np.linspace(float(lo[0]), float(hi[0]), 4096)
     else:
         grid = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
+
+    def deriv_at(s: float):
+        g = float(_dual.evaluate(inst, np.array([[s]])).grad[0, 0])
+        return g if np.isfinite(g) else None
+
     vals = _dual.evaluate(inst, grid[:, None]).grad[:, 0]
     finite = np.isfinite(vals)
-    cell = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]
-    x, fx = _bisect_cells(inst, grid[cell], grid[cell + 1], vals[cell], cfg.max_iter)
-    return x[np.abs(fx) <= 10.0 * GRAD_TOL, None]
-
-
-def _bisect_cells(inst: ProblemInstance, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
-                  max_iter: int):
-    """Bisection of the m = 1 dual derivative on every cell [a, b] where it
-    changes sign (fa its value at a), in lockstep: one kernel call per round.
-
-    Each cell ends bitwise as ``univariate.refine(fn, a, b, fa, GRAD_TOL,
-    max_iter, rtol=1e-15)`` ends it alone: it stops at the first midpoint
-    where the derivative is undefined or at most GRAD_TOL, or where the
-    cell is narrower than 1e-15 (1 + |midpoint|); after ``max_iter`` rounds
-    its last midpoint is evaluated once more. Returns the final midpoints
-    and the derivative there, NaN where it is undefined.
-    """
-    a, b, fa = a.copy(), b.copy(), fa.copy()
-    x = 0.5 * (a + b)
-    fx = np.empty_like(x)
-    live = np.arange(x.size)
-    for it in range(max_iter + 1):
-        if live.size == 0:
-            break
-        f = _dual.evaluate(inst, x[live, None]).grad[:, 0]
-        fx[live] = f
-        if it == max_iter:
-            break
-        xl = x[live]
-        stop = (~np.isfinite(f) | (np.abs(f) <= GRAD_TOL)
-                | (b[live] - a[live] <= 1e-15 * (1.0 + np.abs(xl))))
-        live, f, xl = live[~stop], f[~stop], xl[~stop]
-        left = fa[live] * f <= 0.0  # the sign change is in [a, x]
-        b[live[left]] = xl[left]
-        right = live[~left]
-        a[right], fa[right] = xl[~left], f[~left]
-        x[live] = 0.5 * (a[live] + b[live])
-    return x, fx
+    roots = []
+    for i in np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]:
+        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
+                                       float(vals[i]), GRAD_TOL, cfg.max_iter, rtol=1e-15)
+        if fm is not None and abs(fm) <= 10.0 * GRAD_TOL:
+            roots.append(mid)
+    return np.reshape(roots, (-1, 1))
 
 
 def _interior_start(inst: ProblemInstance, cfg: SolverConfig,

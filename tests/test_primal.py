@@ -238,7 +238,8 @@ class TestStacks:
 
     def test_stacked_duality_map_rows_match_one_point_calls(self):
         # one point gives a DualPoint, a stack its flat (tau, sigma) rows,
-        # each bitwise as the point alone; no rows give none
+        # each bitwise as the point alone; one row is a stack of one, and
+        # no rows give none
         rng = np.random.default_rng(17)
         for n, p, r in [(n, p, m - p) for n in (1, 2, 3, 4) for m in (1, 2, 3)
                         for p in range(m + 1)]:
@@ -248,4 +249,5 @@ class TestStacks:
             assert Z.shape == (6, p + r)
             for z, x in zip(Z, X):
                 assert np.array_equal(z, duality_map(inst, x).vector())
+            assert np.array_equal(duality_map(inst, X[:1]), Z[:1])
             assert duality_map(inst, X[:0]).shape == (0, p + r)

@@ -27,7 +27,6 @@ from canodual.oracle import grid_global_min
 from canodual.primal import eval_primal, grad_primal, hess_primal
 from canodual.solver import (
     SolverConfig,
-    _bisect_cells,
     _newton_roots,
     _primal_roots,
     _sample_starts,
@@ -772,7 +771,7 @@ def _scan_cells(inst):
 
 
 def _serial_scan(inst, max_iter):
-    """Reference for the lockstep bisection: ``univariate.refine`` on each
+    """Reference for the m = 1 scan: ``univariate.refine`` on each
     sign-change cell alone, over one-row kernel calls. Returns the final
     midpoints, the derivative there (NaN where undefined) and the roots the
     scan keeps."""
@@ -825,9 +824,9 @@ class TestUnivariateScan:
                 + [_pole_in_cell(0.5), _pole_in_cell(0.3), _singular_grid_point()])
 
     @pytest.mark.parametrize("max_iter", [200, 5])
-    def test_lockstep_bisection_matches_the_serial_refinement(self, max_iter):
-        """Every cell ends bitwise as ``univariate.refine`` ends it alone, and
-        the scan keeps the same roots, also when the cap of 5 rounds cuts the
+    def test_the_scan_keeps_the_roots_of_the_serial_refinement(self, max_iter):
+        """The scan keeps, bitwise, the roots that ``univariate.refine`` finds
+        on each cell alone, also when the cap of 5 iterations cuts the
         bisections short. The sample has cells straddling a pole (the
         inertia of G differs at their ends), a grid point where G is
         singular, and cells ending on each stop rule."""
@@ -836,10 +835,7 @@ class TestUnivariateScan:
         endings = set()
         for inst in self._instances():
             grid, vals, cells = _scan_cells(inst)
-            x, fx = _bisect_cells(inst, grid[cells], grid[cells + 1], vals[cells], max_iter)
-            x_ref, fx_ref, roots = _serial_scan(inst, max_iter)
-            assert np.array_equal(x, x_ref)
-            assert np.array_equal(fx, fx_ref, equal_nan=True)
+            _, fx, roots = _serial_scan(inst, max_iter)
             assert np.array_equal(_univariate_roots(inst, cfg), roots)
             w = evaluate(inst, grid[:, None]).w
             negative = (w < 0.0).sum(axis=1)
@@ -851,8 +847,9 @@ class TestUnivariateScan:
         assert endings == ({"undefined", "root", "other"} if max_iter == 200
                            else {"undefined", "other"})
 
-    def test_the_scan_is_one_kernel_call_per_round(self, monkeypatch):
-        """The grid is one kernel call, and each bisection round one more."""
+    def test_the_scan_runs_on_the_kernel(self, monkeypatch):
+        """The grid is one kernel call, and each bisection step one more on
+        one row."""
         kernel, calls = dual.evaluate, []
 
         def counted(inst, Z):
@@ -862,5 +859,5 @@ class TestUnivariateScan:
         monkeypatch.setattr(dual, "evaluate", counted)
         roots = _univariate_roots(_pole_in_cell(0.3), SolverConfig(max_iter=200))
         assert len(roots) >= 2
-        assert calls[0] == 4096 and 1 < len(calls) <= 201
-        assert calls[1] == 3 and calls == sorted(calls, reverse=True)
+        assert calls[0] == 4096 and len(calls) > 1
+        assert set(calls[1:]) == {1}
