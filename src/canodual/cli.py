@@ -123,10 +123,11 @@ def cmd_check_existence(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        try:
+        # the shape picks the form, so each form's own error is the one shown
+        if (inst.p, inst.r) == (0, 1):
             qi = quartic.QuarticInstance.from_problem(inst)
             detail = univariate.existence(qi.spectral(), univariate.quartic(qi.alpha, qi.c))
-        except ShapeMismatchError:
+        else:
             can = minimax.canonical_from_problem(inst)
             detail = univariate.existence(can.spectral(), univariate.entropy(can.d, can.beta))
     except ShapeMismatchError as exc:
@@ -156,6 +157,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    if not 0.0 <= args.tol < np.inf:  # also rejects nan
+        print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
+        return 1
     try:
         inst = _load(args.path)
         cfg = _config(args)

@@ -217,10 +217,10 @@ class DualPoint:
         vec = np.asarray(vec, dtype=float).ravel()
         return DualPoint(tau=vec[:p], sigma=vec[p:])
 
-    def tau_interior(self, margin: float = 0.0) -> bool:
+    def tau_interior(self) -> bool:
         if self.p == 0:
             return True
-        return bool(self.tau.min() > margin and self.tau.sum() < 1.0 - margin)
+        return bool(self.tau.min() > 0.0 and self.tau.sum() < 1.0)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ iterates drifting to the region boundary with a non-vanishing gradient are
 reported as the hard case.
 
 ``find_critical_points`` runs seeded multistart Newton on the dual gradient
-(line search on the squared gradient norm) from sampled starts and from
-starts harvested by a primal Newton search, deduplicates the roots, and
-classifies every resulting primal/dual pair. Both Newton searches are thin
+(line search on the squared gradient norm) from its first starts and from
+starts harvested by a primal Newton search, deduplicates the converged
+rows of that one search, and classifies every resulting primal/dual pair.
+The first starts are sampled from the dual box, except for m = 1, where a
+scan of the single weight replaces them (below). Both Newton searches are thin
 callers of one lockstep driver, ``_lockstep_newton``, on one array of
 points: each gives its stacked gradient (``dual.evaluate``,
 ``primal.grad_primal``) and Newton direction, and the driver owns the
@@ -29,9 +31,11 @@ of several. The accepted trial is still the first acceptable one in
 halving order, so the batch sizes change only how many evaluations a
 search makes, never its result.
 
-For m = 1 the search also scans the dual derivative on a grid of the
-single weight with one kernel call and bisects every sign-change cell with
-``univariate.refine`` on one-row kernel calls (``_univariate_roots``).
+For m = 1 the first starts are the points of a scan
+(``_univariate_roots``): the dual derivative on a grid of the single weight
+in one kernel call, and every sign-change cell bisected with
+``univariate.refine`` on one-row kernel calls. The sampled starts are still
+drawn, since the primal seeds follow them in the generator's stream.
 
 Every dual evaluation inside the solvers calls the stacked kernel of
 ``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m) array of
@@ -206,18 +210,19 @@ def _primal_seeded_starts(inst: ProblemInstance, cfg: SolverConfig,
 
 
 def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> np.ndarray:
-    """Deterministic sign-change scan for m = 1 instances: the roots it
-    resolves as rows of a (k, 1) array, none when m > 1.
+    """The first starts of the search on an m = 1 instance: a sign-change
+    scan of the dual derivative over the sampling interval of the single
+    weight, one refined point per sign-change cell as rows of a (k, 1)
+    array.
 
-    Multistart Newton can step over thin basins next to the singular points
-    of G; a dense bracket-and-bisect over the same sampling interval is
-    cheap in one variable and recovers every sign change of the dual
-    derivative (grid cells touching a singular point are skipped). The grid
-    is one kernel call; each cell is refined by ``univariate.refine`` on
-    one-row kernel calls.
+    Multistart Newton from sampled points can step over thin basins next to
+    the singular points of G; a dense bracket-and-bisect is cheap in one
+    variable and puts a point next to every sign change of the dual
+    derivative. The grid is one kernel call; each cell is refined by
+    ``univariate.refine`` on one-row kernel calls, and the Newton search
+    decides which of the points are roots: a cell around a pole of G^{-1}
+    ends next to the pole, not at a root.
     """
-    if inst.m != 1:
-        return np.zeros((0, inst.m))
     if inst.r == 1:
         lo, hi = _sigma_box(inst)
         grid = np.linspace(float(lo[0]), float(hi[0]), 4096)
@@ -230,13 +235,10 @@ def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> np.ndarray:
 
     vals = _dual.evaluate(inst, grid[:, None]).grad[:, 0]
     finite = np.isfinite(vals)
-    roots = []
-    for i in np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]:
-        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
-                                       float(vals[i]), GRAD_TOL, cfg.max_iter, rtol=1e-15)
-        if fm is not None and abs(fm) <= 10.0 * GRAD_TOL:
-            roots.append(mid)
-    return np.reshape(roots, (-1, 1))
+    cells = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]
+    points = [univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]), float(vals[i]),
+                                GRAD_TOL, cfg.max_iter, rtol=1e-15)[0] for i in cells]
+    return np.reshape(points, (-1, 1))
 
 
 def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
@@ -684,9 +686,13 @@ def find_critical_points(inst: ProblemInstance,
                          cfg: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Multistart search for all dual critical points, classified.
 
-    Deterministic for a fixed seed: starts are drawn from one seeded
-    generator and results are merged order-independently (sorted by dual
-    value, then lexicographically by zeta).
+    One dual Newton search runs from the first starts (``cfg.num_starts``
+    sampled ones, or at m = 1 the scan's points), then from the primal
+    seeds; the reported roots are its converged rows, deduplicated. The
+    report's iterations and notes count the first starts. Deterministic for
+    a fixed seed: starts are drawn from one seeded generator and results are
+    merged order-independently (sorted by dual value, then lexicographically
+    by zeta).
     """
     if inst.m > 2:
         warnings.warn(
@@ -694,20 +700,25 @@ def find_critical_points(inst: ProblemInstance,
             "non-global pairs assume a convex measure range, which is not verified",
             RuntimeWarning, stacklevel=2)
     rng = np.random.default_rng(cfg.seed)
-    Z, iters, converged = _newton_roots(inst, np.vstack(
-        [_sample_starts(inst, cfg, rng), _primal_seeded_starts(inst, cfg, rng)]), cfg)
-    roots = np.vstack([Z[converged], _univariate_roots(inst, cfg)])
-    # the report counts the sampled starts; the primal-seeded ones follow them
-    total_iters = int(iters[:cfg.num_starts].sum())
-    converged_starts = int(converged[:cfg.num_starts].sum())
+    # the sampled starts are drawn at every m: the primal seeds follow them
+    # in the generator's stream
+    starts = _sample_starts(inst, cfg, rng)
+    if inst.m == 1:
+        starts = _univariate_roots(inst, cfg)
+    Z, iters, converged = _newton_roots(
+        inst, np.vstack([starts, _primal_seeded_starts(inst, cfg, rng)]), cfg)
+    # the report counts the first starts; the primal-seeded ones follow them
+    first = len(starts)
+    total_iters = int(iters[:first].sum())
+    converged_starts = int(converged[:first].sum())
     pairs = []
-    for z in _dedup(roots):
+    for z in _dedup(Z[converged]):
         pair = make_pair(inst, DualPoint.from_vector(z, inst.p))
         if pair is not None:
             pairs.append(pair)
     pairs = _sorted_pairs(pairs)
     residual = max((p.residual for p in pairs), default=0.0)
-    notes = [f"{cfg.num_starts} starts, {converged_starts} converged, "
+    notes = [f"{first} starts, {converged_starts} converged, "
              f"{len(pairs)} distinct critical points"]
     return SolveReport(critical_pairs=pairs,
                        existence_verdict=ExistenceVerdict.NOT_APPLICABLE,

@@ -148,6 +148,19 @@ class TestCheckExistence:
         assert code == 1
         assert "SHAPE_MISMATCH" in capsys.readouterr().err
 
+    def test_an_indefinite_quartic_weight_names_its_own_error(self, tmp_path, capsys):
+        # the single-quartic shape goes to the quartic form only, so its
+        # error is not masked by the minimax form's shape message
+        inst = validate(ProblemInstance(
+            A=np.eye(2), f=[1.0, 0.5],
+            quartic_terms=(QuarticTerm(B=np.diag([1.0, -1.0]), c=0.0, alpha=1.0),)))
+        path = tmp_path / "indefinite.json"
+        path.write_text(serialize_problem(inst))
+        assert main(["check-existence", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error [SHAPE_MISMATCH]: quartic weight must be positive definite" in err
+        assert "smoothed-minimax" not in err
+
 
 class TestReproduce:
     @pytest.mark.parametrize("example", [1, 2, 3])
@@ -194,6 +207,18 @@ class TestOracleCompare:
         err = capsys.readouterr().err
         assert "error [DIMENSION_TOO_LARGE]" in err
         assert "NO_SA_PLUS_CRITICAL_POINT" not in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_an_invalid_tolerance_is_input_error(self, tol, monkeypatch, capsys):
+        # rejected before the file is read or anything is solved
+        def no_solve(*args):
+            raise AssertionError("solved with an invalid tolerance")
+        monkeypatch.setattr("canodual.cli.solve_global", no_solve)
+        monkeypatch.setattr("canodual.cli._load", no_solve)
+        assert main(["oracle-compare", "missing.json", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert "error: --tol must be finite and >= 0" in captured.err
+        assert captured.out == ""
 
     def test_minimiser_outside_the_box_is_inconclusive(self, tmp_path, capsys):
         # double well at |x| = 10, outside the oracle's box (-6, 6)

@@ -29,6 +29,7 @@ from canodual.solver import (
     SolverConfig,
     _newton_roots,
     _primal_roots,
+    _primal_seeded_starts,
     _sample_starts,
     _sigma_box,
     _tau_from_uniforms,
@@ -773,22 +774,21 @@ def _scan_cells(inst):
 def _serial_scan(inst, max_iter):
     """Reference for the m = 1 scan: ``univariate.refine`` on each
     sign-change cell alone, over one-row kernel calls. Returns the final
-    midpoints, the derivative there (NaN where undefined) and the roots the
-    scan keeps."""
+    midpoints as rows of a (k, 1) array, which the scan hands to the Newton
+    search whatever the derivative there, and that derivative (NaN where
+    undefined)."""
     def deriv_at(s):
         g = float(evaluate(inst, np.array([[s]])).grad[0, 0])
         return g if np.isfinite(g) else None
 
     grid, vals, cells = _scan_cells(inst)
-    x, fx, roots = [], [], []
+    x, fx = [], []
     for i in cells:
         mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
                                        float(vals[i]), GRAD_TOL, max_iter, rtol=1e-15)
         x.append(mid)
         fx.append(np.nan if fm is None else fm)
-        if fm is not None and abs(fm) <= 10.0 * GRAD_TOL:
-            roots.append([mid])
-    return np.array(x), np.array(fx), np.reshape(roots, (-1, 1))
+    return np.reshape(x, (-1, 1)), np.array(fx)
 
 
 def _pole_in_cell(offset):
@@ -825,18 +825,18 @@ class TestUnivariateScan:
 
     @pytest.mark.parametrize("max_iter", [200, 5])
     def test_the_scan_keeps_the_roots_of_the_serial_refinement(self, max_iter):
-        """The scan keeps, bitwise, the roots that ``univariate.refine`` finds
-        on each cell alone, also when the cap of 5 iterations cuts the
-        bisections short. The sample has cells straddling a pole (the
-        inertia of G differs at their ends), a grid point where G is
-        singular, and cells ending on each stop rule."""
+        """The scan proposes, bitwise, the point that ``univariate.refine``
+        ends at on each cell alone, also when the cap of 5 iterations cuts
+        the bisections short, and drops none of them. The sample has cells
+        straddling a pole (the inertia of G differs at their ends), a grid
+        point where G is singular, and cells ending on each stop rule."""
         cfg = SolverConfig(max_iter=max_iter)
         straddling = singular_points = 0
         endings = set()
         for inst in self._instances():
             grid, vals, cells = _scan_cells(inst)
-            _, fx, roots = _serial_scan(inst, max_iter)
-            assert np.array_equal(_univariate_roots(inst, cfg), roots)
+            points, fx = _serial_scan(inst, max_iter)
+            assert np.array_equal(_univariate_roots(inst, cfg), points)
             w = evaluate(inst, grid[:, None]).w
             negative = (w < 0.0).sum(axis=1)
             straddling += int(np.count_nonzero(negative[cells] != negative[cells + 1]))
@@ -861,3 +861,88 @@ class TestUnivariateScan:
         assert len(roots) >= 2
         assert calls[0] == 4096 and len(calls) > 1
         assert set(calls[1:]) == {1}
+
+
+def _captured_search_rows(monkeypatch, inst, cfg):
+    """The rows ``find_critical_points`` hands to the dual Newton search,
+    and its report."""
+    search, rows = solver._newton_roots, []
+
+    def captured(inst, Z0, cfg):
+        rows.append(Z0.copy())
+        return search(inst, Z0, cfg)
+
+    monkeypatch.setattr(solver, "_newton_roots", captured)
+    report = find_critical_points(inst, cfg)
+    assert len(rows) == 1
+    return rows[0], report
+
+
+def _reference_pairs(inst, cfg):
+    """The pairs of the earlier design: the Newton search from the sampled
+    and the primal-seeded starts, the scan's points whose derivative is
+    within 10 GRAD_TOL appended after its roots, then deduplicated and
+    classified."""
+    rng = np.random.default_rng(cfg.seed)
+    Z0 = np.vstack([_sample_starts(inst, cfg, rng), _primal_seeded_starts(inst, cfg, rng)])
+    Z, _, converged = _newton_roots(inst, Z0, cfg)
+    points, fx = _serial_scan(inst, cfg.max_iter)
+    roots = np.vstack([Z[converged], points[np.abs(fx) <= 10.0 * GRAD_TOL]])
+    pairs = [make_pair(inst, DualPoint.from_vector(z, inst.p)) for z in solver._dedup(roots)]
+    return solver._sorted_pairs([pair for pair in pairs if pair is not None])
+
+
+class TestOneNewtonSearch:
+    @pytest.mark.parametrize("n,p,r", [(1, 0, 1), (3, 1, 0), (2, 1, 1), (4, 2, 1)])
+    def test_the_search_runs_the_first_starts_then_the_primal_seeds(self, monkeypatch,
+                                                                    n, p, r):
+        """At m = 1 the scan's points are the first rows, in place of the
+        sampled starts, which are still drawn so the primal seeds after them
+        are those of every m; at m >= 2 the sampled starts come first. The
+        report counts the first rows only."""
+        inst = rand_instance(np.random.default_rng(5), n=n, p=p, r=r)
+        cfg = SolverConfig(num_starts=8, max_iter=80)
+        rows, report = _captured_search_rows(monkeypatch, inst, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        sampled = _sample_starts(inst, cfg, rng)
+        first = _univariate_roots(inst, cfg) if inst.m == 1 else sampled
+        assert np.array_equal(rows, np.vstack([first, _primal_seeded_starts(inst, cfg, rng)]))
+        assert len(first) > 0
+        _, iters, converged = _newton_roots(inst, rows, cfg)
+        assert report.iterations == iters[:len(first)].sum()
+        assert report.notes[0].startswith(
+            f"{len(first)} starts, {converged[:len(first)].sum()} converged, ")
+
+    def test_every_pair_is_a_converged_row_of_the_search(self, monkeypatch):
+        """No pair comes from outside the search: the rows it ends
+        unconverged, like the one the scan ends on next to a pole, give
+        none."""
+        inst = _pole_in_cell(0.5)
+        cfg = SolverConfig(num_starts=8, max_iter=80)
+        rows, report = _captured_search_rows(monkeypatch, inst, cfg)
+        Z, _, converged = _newton_roots(inst, rows, cfg)
+        assert not converged.all() and report.critical_pairs
+        for pair in report.critical_pairs:
+            assert any(np.array_equal(pair.zeta.vector(), z) for z in Z[converged])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_m1_pairs_are_those_of_the_earlier_design(self, seed):
+        """Scanned instead of sampled first starts, the same pairs: count,
+        classification and value to 1e-9, on random m = 1 draws and on
+        example 2 (whose five roots include thin basins next to poles)."""
+        rng = np.random.default_rng(100 + seed)
+        cfg = SolverConfig(num_starts=8, max_iter=80, seed=seed)
+        cases = [(rand_instance(rng, n=n, p=p, r=1 - p), cfg)
+                 for n in range(1, 5) for p in (0, 1) for _ in range(2)]
+        cases.append((fixtures.example2(), SolverConfig(seed=seed)))
+        found = 0
+        for inst, config in cases:
+            got = find_critical_points(inst, config).critical_pairs
+            want = _reference_pairs(inst, config)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.classification == b.classification
+                assert a.dual_value == pytest.approx(b.dual_value, rel=1e-9, abs=1e-9)
+                assert a.primal_value == pytest.approx(b.primal_value, rel=1e-9, abs=1e-9)
+            found += len(got)
+        assert found >= 20
