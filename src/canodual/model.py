@@ -325,7 +325,8 @@ def _symmetrized(name: str, M: np.ndarray, n: int) -> np.ndarray:
     skew = float(np.max(np.abs(M - M.T), initial=0.0))
     if skew > SYMMETRY_TOL:
         raise NonSymmetricError(f"{name} is not symmetric", max_asymmetry=skew)
-    return 0.5 * (M + M.T)
+    half = 0.5 * M  # halved before the sum, which then cannot overflow
+    return half + half.T
 
 
 def validate(raw: ProblemInstance) -> ProblemInstance:

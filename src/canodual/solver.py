@@ -33,14 +33,15 @@ search makes, never its result.
 
 For m = 1 the first starts are the points of a scan
 (``_univariate_roots``): the dual derivative on a grid of the single weight
-in one kernel call, and every sign-change cell bisected with
-``univariate.refine`` on one-row kernel calls. The sampled starts are still
-drawn, since the primal seeds follow them in the generator's stream.
+in one kernel call, and for every sign-change cell its secant point and
+both ends. The scan only brackets; the Newton search refines. The sampled
+starts are still drawn, since the primal seeds follow them in the
+generator's stream.
 
 Every dual evaluation inside the solvers calls the stacked kernel of
 ``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m) array of
-flat dual vectors; the ascent, its interior start and the m = 1
-bisections pass one row at a time. ``find_critical_points`` keeps its
+flat dual vectors; the ascent and its interior start pass one row at a
+time. ``find_critical_points`` keeps its
 starts, the primal seeds (``primal.duality_map`` on a stack) and its roots
 as flat arrays; ``make_pair`` and ``triality_classify``, at the API edge,
 take a ``DualPoint`` and call the per-point functions of ``dual``.
@@ -66,7 +67,6 @@ import numpy as np
 
 from . import dual as _dual
 from . import primal as _primal
-from . import univariate
 from .dual import BOUNDARY_MARGIN, GRAD_TOL
 from .errors import HardCaseError, NotCriticalError
 from .model import (
@@ -209,36 +209,32 @@ def _primal_seeded_starts(inst: ProblemInstance, cfg: SolverConfig,
     return Z
 
 
-def _univariate_roots(inst: ProblemInstance, cfg: SolverConfig) -> np.ndarray:
+def _univariate_roots(inst: ProblemInstance) -> np.ndarray:
     """The first starts of the search on an m = 1 instance: a sign-change
     scan of the dual derivative over the sampling interval of the single
-    weight, one refined point per sign-change cell as rows of a (k, 1)
-    array.
+    weight, three points per sign-change cell [a, b] as rows of a (k, 1)
+    array: its secant point a + fa / (fa - fb) (b - a) (the midpoint when
+    fa = fb), then a, then b.
 
     Multistart Newton from sampled points can step over thin basins next to
-    the singular points of G; a dense bracket-and-bisect is cheap in one
-    variable and puts a point next to every sign change of the dual
-    derivative. The grid is one kernel call; each cell is refined by
-    ``univariate.refine`` on one-row kernel calls, and the Newton search
-    decides which of the points are roots: a cell around a pole of G^{-1}
-    ends next to the pole, not at a root.
+    the singular points of G; a dense grid is cheap in one variable and puts
+    a bracket around every sign change of the dual derivative. The grid is
+    the scan's one kernel call. The scan only brackets: the Newton search
+    decides which of the points lead to roots (a cell around a pole of
+    G^{-1} brackets the pole, not a root), and a cell's ends reach roots
+    its secant point misses.
     """
     if inst.r == 1:
         lo, hi = _sigma_box(inst)
         grid = np.linspace(float(lo[0]), float(hi[0]), 4096)
     else:
         grid = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
-
-    def deriv_at(s: float):
-        g = float(_dual.evaluate(inst, np.array([[s]])).grad[0, 0])
-        return g if np.isfinite(g) else None
-
     vals = _dual.evaluate(inst, grid[:, None]).grad[:, 0]
     finite = np.isfinite(vals)
     cells = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]
-    points = [univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]), float(vals[i]),
-                                GRAD_TOL, cfg.max_iter, rtol=1e-15)[0] for i in cells]
-    return np.reshape(points, (-1, 1))
+    a, b, fa, fb = grid[cells], grid[cells + 1], vals[cells], vals[cells + 1]
+    share = np.divide(fa, fa - fb, out=np.full(cells.size, 0.5), where=fa != fb)
+    return np.column_stack([a + share * (b - a), a, b]).reshape(-1, 1)
 
 
 def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
@@ -704,9 +700,11 @@ def find_critical_points(inst: ProblemInstance,
     # in the generator's stream
     starts = _sample_starts(inst, cfg, rng)
     if inst.m == 1:
-        starts = _univariate_roots(inst, cfg)
-    Z, iters, converged = _newton_roots(
-        inst, np.vstack([starts, _primal_seeded_starts(inst, cfg, rng)]), cfg)
+        starts = _univariate_roots(inst)
+    Z = np.vstack([starts, _primal_seeded_starts(inst, cfg, rng)])
+    iters, converged = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    if len(Z):  # empty at m = 1 with no scanned cell and no primal seed
+        Z, iters, converged = _newton_roots(inst, Z, cfg)
     # the report counts the first starts; the primal-seeded ones follow them
     first = len(starts)
     total_iters = int(iters[:first].sum())

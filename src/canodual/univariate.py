@@ -161,19 +161,18 @@ def existence(sd: SpectralData, conj: Conjugate) -> dict:
 # root finding
 
 def refine(fn, a: float, b: float, fa: float, tol: float, max_iter: int,
-           rtol: float = 1e-16, fprime=None):
+           fprime=None):
     """Safeguarded Newton/bisection on a bracket [a, b] where fn changes
-    sign (fa = fn(a)).
+    sign (fa = fn(a)), for the fast paths' root searches.
 
-    Stops when |fn| <= tol, when the bracket is narrower than
-    rtol (1 + |x|), or when fn returns None (an undefined point). Newton
-    steps that leave the bracket fall back to bisection. Returns
-    (x, fn(x), iterations).
+    Stops when |fn| <= tol or when the bracket is narrower than
+    1e-16 (1 + |x|). Newton steps that leave the bracket fall back to
+    bisection. Returns (x, fn(x), iterations).
     """
     x = 0.5 * (a + b)
     for it in range(1, max_iter + 1):
         fx = fn(x)
-        if fx is None or abs(fx) <= tol or (b - a) <= rtol * (1.0 + abs(x)):
+        if abs(fx) <= tol or (b - a) <= 1e-16 * (1.0 + abs(x)):
             return x, fx, it
         if fa * fx <= 0.0:
             b = x

@@ -76,6 +76,17 @@ class TestCanonicalize:
                 with pytest.raises(NotPositiveDefiniteError):
                     step(mm)
 
+    def test_finite_curvatures_stay_finite(self):
+        """Symmetrizing halves each side first, so a finite entry near the
+        largest float neither overflows nor warns."""
+        A1 = np.array([[1e308, 1.0], [1.0, 1.0]])
+        A2 = A1 + np.diag([1e300, 1e300])
+        mm = MinimaxInstance(A1=A1, A2=A2, f1=np.zeros(2), f2=np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = validate_minimax(mm)
+        assert np.array_equal(out.A1, A1) and np.array_equal(out.A2, A2)
+
     @pytest.mark.parametrize("w_min, admitted", [(1.002e-7, True), (1.0e-7, False)])
     def test_conditioning_at_the_definiteness_threshold(self, w_min, admitted):
         # w_max = 1e3 puts the threshold 1e-10 (1 + w_max) at 1.001e-7: just

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ class TestValidate:
             validate(ProblemInstance(
                 A=[[np.nan]], f=[0.0],
                 quartic_terms=(QuarticTerm(B=[[1.0]], c=0.0, alpha=1.0),)))
+
+    def test_finite_input_stays_finite(self):
+        """Symmetrizing halves each side first, so a finite entry near the
+        largest float neither overflows nor warns."""
+        text = json.dumps({
+            "n": 2, "A": [[1e308, 1.0], [1.0, 1.0]], "f": [0.0, 0.0],
+            "quartic": [{"B": [[1e308, 0.0], [0.0, 1.0]], "c": 0.0, "alpha": 1.0}],
+            "beta": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = parse_problem(text)
+        assert np.array_equal(inst.A, [[1e308, 1.0], [1.0, 1.0]])
+        assert np.array_equal(inst.quartic_terms[0].B, np.diag([1e308, 1.0]))
 
     def test_idempotent(self, rng):
         inst = rand_instance(rng, n=3)

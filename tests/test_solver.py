@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from canodual import dual, fixtures, primal, solver, univariate
+from canodual import dual, fixtures, primal, solver
 from canodual.errors import HardCaseError, NotCriticalError
 from canodual.model import (
     Classification,
@@ -470,7 +470,8 @@ class TestLockstepRoots:
 
     def test_no_search_evaluates_an_empty_stack(self, monkeypatch):
         """Both lockstep searches stop once no start is running, without a
-        last call of the kernel or the primal layer on no rows."""
+        last call of the kernel or the primal layer on no rows, and an m = 1
+        instance with no scanned cell and no primal seed runs no search."""
         calls = {}
 
         def nonempty(module, name):
@@ -492,6 +493,10 @@ class TestLockstepRoots:
                 for p in range(m + 1):
                     find_critical_points(rand_instance(rng, n=n, p=p, r=m - p), cfg)
         assert set(calls) == {"evaluate", "grad_primal", "hess_primal"}
+        calls.clear()
+        report = find_critical_points(_random_m1_draws()[31], cfg)
+        assert report.notes == ["0 starts, 0 converged, 0 distinct critical points"]
+        assert report.iterations == 0 and calls["evaluate"] == 1  # the scan's grid
 
     def test_batches_follow_each_start_history(self):
         """Each start's batch comes from its own tried count and previous
@@ -771,12 +776,25 @@ def _scan_cells(inst):
     return grid, vals, cells
 
 
+def _scan_rows(inst):
+    """Reference for the m = 1 scan: for each sign-change cell [a, b] of
+    the grid, its secant point a + fa / (fa - fb) (b - a) (the midpoint when
+    fa = fb), then a, then b, as rows of a (k, 1) array."""
+    grid, vals, cells = _scan_cells(inst)
+    rows = []
+    for i in cells:
+        a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
+        share = fa / (fa - fb) if fa != fb else 0.5
+        rows += [a + share * (b - a), a, b]
+    return np.reshape(rows, (-1, 1))
+
+
 def _serial_scan(inst, max_iter):
-    """Reference for the m = 1 scan: ``univariate.refine`` on each
-    sign-change cell alone, over one-row kernel calls. Returns the final
-    midpoints as rows of a (k, 1) array, which the scan hands to the Newton
-    search whatever the derivative there, and that derivative (NaN where
-    undefined)."""
+    """Reference for the earlier m = 1 scan: each sign-change cell bisected
+    alone, over one-row kernel calls, until the derivative is within
+    GRAD_TOL, undefined, or the cell is narrower than 1e-15 (1 + |x|), in at
+    most ``max_iter`` halvings. Returns the final midpoints as rows of a
+    (k, 1) array and the derivative there (NaN where undefined)."""
     def deriv_at(s):
         g = float(evaluate(inst, np.array([[s]])).grad[0, 0])
         return g if np.isfinite(g) else None
@@ -784,8 +802,18 @@ def _serial_scan(inst, max_iter):
     grid, vals, cells = _scan_cells(inst)
     x, fx = [], []
     for i in cells:
-        mid, fm, _ = univariate.refine(deriv_at, float(grid[i]), float(grid[i + 1]),
-                                       float(vals[i]), GRAD_TOL, max_iter, rtol=1e-15)
+        a, b, fa = float(grid[i]), float(grid[i + 1]), float(vals[i])
+        mid = 0.5 * (a + b)
+        fm = deriv_at(mid)
+        for _ in range(max_iter):
+            if fm is None or abs(fm) <= GRAD_TOL or b - a <= 1e-15 * (1.0 + abs(mid)):
+                break
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+            mid = 0.5 * (a + b)
+            fm = deriv_at(mid)
         x.append(mid)
         fx.append(np.nan if fm is None else fm)
     return np.reshape(x, (-1, 1)), np.array(fx)
@@ -816,40 +844,42 @@ def _singular_grid_point():
                                     lse_terms=(LseTerm(Q=np.eye(2), d=0.2),)))
 
 
+def _random_m1_draws():
+    """32 random m = 1 instances, n = 1..4 with one log-sum-exp or one
+    quartic term; the last (n = 4, p = 1) has no sign-change cell and no
+    primal seed inside the simplex margin."""
+    rng = np.random.default_rng(0)
+    shapes = [(n, p) for n in range(1, 5) for p in (0, 1)] * 4
+    return [rand_instance(rng, n=n, p=p, r=1 - p) for n, p in shapes]
+
+
 class TestUnivariateScan:
     def _instances(self):
-        rng = np.random.default_rng(0)
-        shapes = [(n, p) for n in range(1, 5) for p in (0, 1)] * 4
-        return ([rand_instance(rng, n=n, p=p, r=1 - p) for n, p in shapes]
-                + [_pole_in_cell(0.5), _pole_in_cell(0.3), _singular_grid_point()])
+        return _random_m1_draws() + [_pole_in_cell(0.5), _pole_in_cell(0.3),
+                                     _singular_grid_point()]
 
-    @pytest.mark.parametrize("max_iter", [200, 5])
-    def test_the_scan_keeps_the_roots_of_the_serial_refinement(self, max_iter):
-        """The scan proposes, bitwise, the point that ``univariate.refine``
-        ends at on each cell alone, also when the cap of 5 iterations cuts
-        the bisections short, and drops none of them. The sample has cells
-        straddling a pole (the inertia of G differs at their ends), a grid
-        point where G is singular, and cells ending on each stop rule."""
-        cfg = SolverConfig(max_iter=max_iter)
+    def test_the_scan_hands_every_cell_its_secant_point_and_ends(self):
+        """The scan's rows are, bitwise, the secant point, the left end and
+        the right end of every sign-change cell, in grid order, whatever
+        the derivative there. The sample has cells straddling a pole (the
+        inertia of G differs at their ends) and a grid point where G is
+        singular."""
         straddling = singular_points = 0
-        endings = set()
         for inst in self._instances():
             grid, vals, cells = _scan_cells(inst)
-            points, fx = _serial_scan(inst, max_iter)
-            assert np.array_equal(_univariate_roots(inst, cfg), points)
+            rows = _univariate_roots(inst)
+            assert np.array_equal(rows, _scan_rows(inst))
+            secant, a, b = rows.reshape(-1, 3).T
+            assert np.all((a <= secant) & (secant <= b))
             w = evaluate(inst, grid[:, None]).w
             negative = (w < 0.0).sum(axis=1)
             straddling += int(np.count_nonzero(negative[cells] != negative[cells + 1]))
             singular_points += int(np.count_nonzero(~np.isfinite(vals)))
-            endings |= {"undefined" if np.isnan(f) else "root" if abs(f) <= GRAD_TOL
-                        else "other" for f in fx}
         assert straddling >= 2 and singular_points >= 1
-        assert endings == ({"undefined", "root", "other"} if max_iter == 200
-                           else {"undefined", "other"})
 
-    def test_the_scan_runs_on_the_kernel(self, monkeypatch):
-        """The grid is one kernel call, and each bisection step one more on
-        one row."""
+    def test_the_scan_is_one_kernel_call(self, monkeypatch):
+        """The grid is the scan's only kernel call: a cell adds rows to the
+        Newton search and no evaluation."""
         kernel, calls = dual.evaluate, []
 
         def counted(inst, Z):
@@ -857,10 +887,9 @@ class TestUnivariateScan:
             return kernel(inst, Z)
 
         monkeypatch.setattr(dual, "evaluate", counted)
-        roots = _univariate_roots(_pole_in_cell(0.3), SolverConfig(max_iter=200))
-        assert len(roots) >= 2
-        assert calls[0] == 4096 and len(calls) > 1
-        assert set(calls[1:]) == {1}
+        rows = _univariate_roots(_pole_in_cell(0.3))
+        assert len(rows) >= 6 and len(rows) % 3 == 0
+        assert calls == [4096]
 
 
 def _captured_search_rows(monkeypatch, inst, cfg):
@@ -905,7 +934,7 @@ class TestOneNewtonSearch:
         rows, report = _captured_search_rows(monkeypatch, inst, cfg)
         rng = np.random.default_rng(cfg.seed)
         sampled = _sample_starts(inst, cfg, rng)
-        first = _univariate_roots(inst, cfg) if inst.m == 1 else sampled
+        first = _univariate_roots(inst) if inst.m == 1 else sampled
         assert np.array_equal(rows, np.vstack([first, _primal_seeded_starts(inst, cfg, rng)]))
         assert len(first) > 0
         _, iters, converged = _newton_roots(inst, rows, cfg)
@@ -915,9 +944,8 @@ class TestOneNewtonSearch:
 
     def test_every_pair_is_a_converged_row_of_the_search(self, monkeypatch):
         """No pair comes from outside the search: the rows it ends
-        unconverged, like the one the scan ends on next to a pole, give
-        none."""
-        inst = _pole_in_cell(0.5)
+        unconverged give none."""
+        inst = rand_instance(np.random.default_rng(5), n=2, p=1, r=1)
         cfg = SolverConfig(num_starts=8, max_iter=80)
         rows, report = _captured_search_rows(monkeypatch, inst, cfg)
         Z, _, converged = _newton_roots(inst, rows, cfg)
