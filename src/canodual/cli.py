@@ -22,6 +22,7 @@ from .errors import (
     HardCaseError,
     InvalidModelError,
     NoDualCriticalPointError,
+    ParseError,
     ShapeMismatchError,
     UnboundedError,
 )
@@ -43,8 +44,11 @@ BOX_EDGE = 5.9
 
 
 def _load(path: str) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_problem(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _config(args) -> SolverConfig:

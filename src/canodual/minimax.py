@@ -16,13 +16,15 @@ with the entropy conjugate on (0, 1):
 
 The dual is strictly concave on the sub-interval where A + tau I is
 positive definite; the shared engine's maximizer there recovers the global
-smoothed minimizer. The remaining critical points of the univariate dual
-are enumerated by the engine's enclosure search over (0, 1) minus the
-spectrum poles (bisection that drops every sub-interval whose bounds on
-the dual's slope exclude zero) and classified through the general
-machinery, each on a factorisation of A + tau I read off the spectrum of
-A: a solve makes one eigendecomposition, and one Cholesky factorisation
-of the difference unless it is diagonal, which is whitened by scaling.
+smoothed minimizer, and is the only critical point there. The remaining
+critical points of the univariate dual lie left of that sub-interval, in
+(0, min(1, -lambda_1)), and are enumerated by the engine's enclosure
+search over that interval minus the spectrum poles (bisection that drops
+every sub-interval whose bounds on the dual's slope exclude zero) and
+classified through the general machinery, each on a factorisation of
+A + tau I read off the spectrum of A: a solve makes one
+eigendecomposition, and one Cholesky factorisation of the difference
+unless it is diagonal, which is whitened by scaling.
 This module keeps the instance and canonical-form types, the solves, and
 the (d, beta) forms of the dual functions and the existence check.
 
@@ -210,9 +212,10 @@ def _solve_canonical(can: CanonicalForm) -> SolveReport:
     # Newton steps from the left overshoot the bracket, and bisection is cheaper
     global_root, _ = univariate.maximise(
         sd, conj, verdict, lambda t: dual_derivative(sd, can.d, can.beta, t))
-    roots = univariate.critical_points(sd, conj)
-    if not any(abs(t - global_root) <= 1e-9 for t in roots):
-        roots = sorted(roots + [global_root])
+    # D' decreases on the positive region tau > -lambda_1, so its one root
+    # there is the maximiser: only the intervals left of it are searched
+    left = conj._replace(hi=min(conj.hi, -float(sd.lambdas[0])))
+    roots = univariate.critical_points(sd, left) + [global_root]
     problem = can.to_problem()
     pairs = []
     for tau in roots:

@@ -1,11 +1,13 @@
 """Dual solvers: global ascent, multistart critical-point search, triality.
 
 ``solve_global`` maximizes the dual over the region where G(zeta) is
-positive definite. There the dual Hessian is negative definite, so a damped
-Newton ascent with a fraction-to-boundary rule on tau and an inertia guard
-on G converges to the unique interior critical point whenever one exists;
-iterates drifting to the region boundary with a non-vanishing gradient are
-reported as the hard case.
+positive definite. There the dual Hessian is negative definite, so the
+dual's one critical point in the region, when it exists, is the maximiser.
+The ascent is the root search's Newton iteration from one interior point:
+the same step, fraction-to-boundary rule on tau and merit test on the
+squared gradient norm, with an inertia guard on G that refuses every trial
+outside the region. Iterates drifting to the region boundary with a
+non-vanishing gradient are reported as the hard case.
 
 ``find_critical_points`` runs seeded multistart Newton on the dual gradient
 (line search on the squared gradient norm) from its first starts and from
@@ -268,44 +270,46 @@ def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 # Newton drivers
 
+# The line search of the dual Newton iteration, in the root search and the
+# ascent alike: a trial t of the first step length is accepted when
+# 1/2 ||g||^2 falls by the factor 1 - _DECREASE * t, and halving stops at
+# _STEP_FLOOR.
+_STEP_FLOOR = 1e-16
+_DECREASE = 2e-4
+
+
 def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _dual.Points,
                    cfg: SolverConfig):
-    """Damped Newton maximization of the dual inside the positive region,
-    from z with its one-row evaluation ``pts``. A positive-definite trial is
-    accepted on a rise of the dual value or, as near the root that rise is
-    below the value's rounding, on the merit test of :func:`_lockstep_newton`.
+    """The root search's Newton iteration kept inside the positive region,
+    from z with its one-row evaluation ``pts``: the step of
+    :func:`_directions`, the first trial capped by the fraction-to-boundary
+    rule on tau, and a trial accepted only where tau is interior, G is
+    positive definite and the merit test of :func:`_lockstep_newton` holds.
+    There the dual is strictly concave, so its one root is the maximiser.
+    Halvings are tried one row at a time: G's factorisation is most of a
+    trial's cost at large n, and the first trial is usually accepted.
 
     Returns (z, pts, iterations, converged) at the last accepted point.
     """
     p = inst.p
-    value = _dual.dual_value(inst, z, pts.x[0])
     for it in range(1, cfg.max_iter + 1):
-        g = pts.grad[0]
-        if float(np.max(np.abs(g))) <= GRAD_TOL:
+        if float(np.max(np.abs(pts.grad[0]))) <= GRAD_TOL:
             return z, pts, it, True
-        H = _dual.hessians(inst, z[None, :p], pts.Mx.transpose(0, 2, 1),
-                           pts.U, pts.w)[0]
-        try:
-            step = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError:
-            step = g.copy()
-        if not np.all(np.isfinite(step)) or float(g @ step) <= 0.0:
-            step = g.copy()
-        t = min(1.0, _tau_step_caps(z[None, :p], step[None, :p], BOUNDARY_MARGIN)[0])
-        slope = float(g @ step)
+        step, flat = _directions(inst, z[None, :p], pts)
+        if flat[0]:
+            return z, pts, it, False
+        t = min(1.0, _tau_step_caps(z[None, :p], step[:, :p], BOUNDARY_MARGIN)[0])
         merit = _half_sq_norms(pts.grad)[0]
-        while t > 1e-16:
-            trial = z + t * step
+        while t > _STEP_FLOOR:
+            trial = z + t * step[0]
             trial_pts = _positive_point(inst, trial)
-            if trial_pts is not None:
-                trial_value = _dual.dual_value(inst, trial, trial_pts.x[0])
-                if (trial_value >= value + 1e-4 * t * slope or
-                        _half_sq_norms(trial_pts.grad)[0] <= merit * (1.0 - 2e-4 * t)):
-                    break
+            if (trial_pts is not None and
+                    _half_sq_norms(trial_pts.grad)[0] <= merit * (1.0 - _DECREASE * t)):
+                break
             t *= 0.5
         else:
             return z, pts, it, False
-        z, pts, value = trial, trial_pts, trial_value
+        z, pts = trial, trial_pts
     return z, pts, cfg.max_iter, float(np.max(np.abs(pts.grad[0]))) <= GRAD_TOL
 
 
@@ -481,7 +485,8 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
         t0 = np.minimum(1.0, _tau_step_caps(Z[:, :p], dz[:, :p], BOUNDARY_MARGIN))
         return dz, t0, flat
 
-    return _lockstep_newton(evaluate, direction, Z0, cfg.max_iter, GRAD_TOL, 1e-16, 2e-4)
+    return _lockstep_newton(evaluate, direction, Z0, cfg.max_iter, GRAD_TOL,
+                            _STEP_FLOOR, _DECREASE)
 
 
 # Newton steps of each primal-seeded start

@@ -258,3 +258,13 @@ def test_nonpositive_starts_is_input_error(command, starts, ex1_path, capsys):
     captured = capsys.readouterr()
     assert "error: num_starts and max_iter must be >= 1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "check-existence", "oracle-compare"])
+def test_non_utf8_file_is_input_error(command, tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: not UTF-8 text")
+    assert captured.out == ""

@@ -208,6 +208,27 @@ class TestSolve:
             vals = [mm.max_value(can.to_original(t * v)) for t in 2.0 ** np.arange(24)]
             assert min(vals) < -1e6
 
+    def test_enumeration_stops_left_of_the_positive_region(self, monkeypatch):
+        # D' decreases where tau > -lambda_1, so the maximiser is the one
+        # root there and the enclosure search covers only the intervals
+        # left of it
+        seen = []
+        search = univariate.critical_points
+
+        def recorded(sd, conj):
+            seen.append((float(sd.lambdas[0]), conj.hi))
+            return search(sd, conj)
+
+        monkeypatch.setattr(univariate, "critical_points", recorded)
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 5):
+            for _ in range(4):
+                rep = solve(rand_minimax(rng, n, "exists"))
+                assert rep.best.classification == Classification.GLOBAL_MIN
+        negative = [(lam1, hi) for lam1, hi in seen if lam1 < 0.0]
+        assert len(negative) >= 8
+        assert all(hi <= -lam1 for lam1, hi in negative)
+
     def test_not_exists_raises(self, rng):
         for _ in range(5):
             mm = rand_minimax(rng, 2, "not_exists")

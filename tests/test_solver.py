@@ -99,13 +99,53 @@ class TestSolveGlobal:
     @pytest.mark.parametrize("n,p,r,seed", [(1, 0, 2, 15), (2, 0, 1, 4),
                                             (2, 1, 1, 2), (3, 0, 1, 0)])
     def test_certifies_when_the_value_stops_resolving_the_ascent(self, n, p, r, seed):
-        # near the root the Armijo rise of the dual value falls below its
-        # rounding; the ascent must still converge instead of stalling
+        # near the root a rise of the dual value falls below its rounding,
+        # while the squared gradient norm still resolves the steps; the
+        # ascent accepts on the latter and must converge instead of stalling
         inst = rand_instance(np.random.default_rng(seed), n, p, r, spd_quartic=True)
         rep = solve_global(inst)
         _, v_star = grid_global_min(inst, (-6.0, 6.0), 601 if n <= 2 else 121)
         assert rep.best.classification == Classification.GLOBAL_MIN
         assert rep.best.primal_value == pytest.approx(v_star, abs=1e-8)
+
+    @pytest.mark.parametrize("seed,p,r,spd", [(5, 1, 2, False), (15, 1, 1, False),
+                                              (22, 2, 1, True), (30, 0, 3, False)])
+    def test_certifies_where_the_value_rule_stalled(self, seed, p, r, spd):
+        # accepting a trial on a rise of the dual value let these ascents
+        # crawl along the boundary of the positive region, where min eig G
+        # fell to 1e-10 with the gradient still large; on the merit test
+        # alone they reach the interior root
+        inst = rand_instance(np.random.default_rng([seed, 2, p, r, spd]), 2, p, r,
+                             spd_quartic=spd)
+        rep = solve_global(inst)
+        _, v_star = grid_global_min(inst, (-6.0, 6.0), 601)
+        assert rep.best.classification == Classification.GLOBAL_MIN
+        assert rep.best.primal_value == pytest.approx(v_star, abs=1e-8)
+
+    def test_ascent_is_the_root_search_kept_positive(self):
+        """From its interior start, the ascent ends bitwise where the
+        one-point reference of the root search ends when that reference
+        accepts a trial only where G is positive definite."""
+        cfg = SolverConfig(max_iter=60)
+        endings = set()
+        for seed in range(3):
+            for n in (1, 2, 3):
+                for p, r in [(0, 1), (1, 1), (0, 2), (1, 2), (2, 1), (0, 3)]:
+                    for spd in (True, False):
+                        inst = rand_instance(np.random.default_rng([seed, n, p, r, spd]),
+                                             n, p, r, spd_quartic=spd)
+                        start = solver._interior_start(inst, cfg,
+                                                       np.random.default_rng(cfg.seed))
+                        if start is None:
+                            continue
+                        z, _, it, ok = solver._newton_ascent(inst, *start, cfg)
+                        ref, ref_it, ref_ok, _ = _serial_newton_root(inst, start[0], cfg,
+                                                                     positive=True)
+                        assert np.array_equal(z, ref)
+                        assert (it, ok) == (ref_it, ref_ok)
+                        endings.add("converged" if ok else "capped" if it == cfg.max_iter
+                                    else "stalled")
+        assert endings == {"converged", "capped", "stalled"}
 
 
 class TestFindCriticalPoints:
@@ -323,18 +363,21 @@ def _singular_start(inst):
     return z
 
 
-def _serial_newton_root(inst, z, cfg):
+def _serial_newton_root(inst, z, cfg, positive=False):
     """Reference for the lockstep search: the same Newton iteration for one
-    start, one point at a time through the public dual functions. Returns
-    (z, iterations, converged, halvings): ``halvings`` lists the halving of
-    t0 each step accepted, with None for a line search that reached the
-    floor."""
+    start, one point at a time through the public dual functions. With
+    ``positive``, a point counts only where G(zeta) is positive definite,
+    which makes it the reference of the ascent. Returns (z, iterations,
+    converged, halvings): ``halvings`` lists the halving of t0 each step
+    accepted, with None for a line search that reached the floor."""
     def factor(z):
         zeta = DualPoint.from_vector(z, inst.p)
         if not zeta.tau_interior():
             return None, None
         G = assemble(inst, zeta)
-        return (None, None) if G.is_singular else (zeta, G)
+        if G.is_singular or (positive and not G.eigenvalues[0] > 0.0):
+            return None, None
+        return zeta, G
 
     def tau_cap(tau, dtau, floor, ftb=0.995):
         cap = np.inf
