@@ -42,7 +42,7 @@ from .primal import measure_jacobian, measures
 SING_TOL = 1e-10       # eigenvalues of G this close (relatively) to zero count as zero
 SIMPLEX_SLACK = 1e-14
 GRAD_TOL = 1e-10       # a dual point with |grad|_inf at most this is critical
-BOUNDARY_MARGIN = 1e-8  # the solvers keep tau this far inside the simplex
+BOUNDARY_MARGIN = 1e-8  # the root searches keep tau this far inside the simplex
 
 
 @dataclass(frozen=True)

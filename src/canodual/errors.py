@@ -76,10 +76,10 @@ class NoDualCriticalPointError(CanodualError):
 
 
 class HardCaseError(CanodualError):
-    """Dual ascent converged to the boundary of the positive-definite region,
-    or to the margin the solver keeps tau inside the simplex, without
-    reaching a critical point; the instance cannot be certified by the
-    analytic recovery formula."""
+    """No point of the positive-definite region (tau in the open simplex, G
+    positive definite) was found, or the dual ascent stalled on the
+    region's boundary without reaching a critical point; the instance
+    cannot be certified by the analytic recovery formula."""
 
     code = "NO_SA_PLUS_CRITICAL_POINT"
 

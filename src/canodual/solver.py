@@ -4,9 +4,10 @@
 positive definite. There the dual Hessian is negative definite, so the
 dual's one critical point in the region, when it exists, is the maximiser.
 The ascent is the root search's Newton iteration from one interior point:
-the same step, fraction-to-boundary rule on tau and merit test on the
-squared gradient norm, with an inertia guard on G that refuses every trial
-outside the region. Iterates drifting to the region boundary with a
+the same step and merit test on the squared gradient norm, with one domain
+rule, ``_positive_point``, that refuses every trial with tau outside the
+open simplex or G not positive definite. The region is convex, so no other
+rule on tau is needed. Iterates drifting to the region boundary with a
 non-vanishing gradient are reported as the hard case.
 
 ``find_critical_points`` runs seeded multistart Newton on the dual gradient
@@ -116,20 +117,21 @@ def _positive_point(inst: ProblemInstance, z: np.ndarray) -> Optional[_dual.Poin
     return pts if pts.valid[0] and pts.w[0, 0] > 0.0 else None
 
 
-def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray, floor: float) -> np.ndarray:
+def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray) -> np.ndarray:
     """Per row of ``tau`` (k, p) and step ``dtau``, the largest step keeping
     each tau_i and the simplex slack above both a 1 - 0.995 fraction of their
-    current values (the fraction-to-boundary rule) and the absolute floor.
+    current values (the fraction-to-boundary rule) and ``BOUNDARY_MARGIN``.
 
-    The floor makes the margin-interior simplex the working domain: roots
-    hugging the boundary closer than the margin are outside the search by
-    design (their iterates stall at the floor and are discarded).
+    The floor makes the margin-interior simplex the root search's working
+    domain: roots hugging the boundary closer than the margin are outside
+    the search by design (their iterates stall at the floor and are
+    discarded).
     """
     if tau.shape[1] == 0:
         return np.full(len(tau), np.inf)
     value = np.column_stack([tau, 1.0 - tau.sum(axis=1)])
     slope = np.column_stack([dtau, -dtau.sum(axis=1)])
-    allowed = np.maximum(value - np.maximum(floor, (1.0 - 0.995) * value), 0.0)
+    allowed = np.maximum(value - np.maximum(BOUNDARY_MARGIN, (1.0 - 0.995) * value), 0.0)
     cap = np.divide(allowed, -slope, out=np.full(value.shape, np.inf),
                     where=slope < 0.0)
     return cap.min(axis=1)
@@ -233,7 +235,8 @@ def _univariate_roots(inst: ProblemInstance) -> np.ndarray:
         grid = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
     vals = _dual.evaluate(inst, grid[:, None]).grad[:, 0]
     finite = np.isfinite(vals)
-    cells = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]
+    change = np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0  # a product may underflow
+    cells = np.nonzero(finite[:-1] & finite[1:] & change)[0]
     a, b, fa, fb = grid[cells], grid[cells + 1], vals[cells], vals[cells + 1]
     share = np.divide(fa, fa - fb, out=np.full(cells.size, 0.5), where=fa != fb)
     return np.column_stack([a + share * (b - a), a, b]).reshape(-1, 1)
@@ -242,15 +245,15 @@ def _univariate_roots(inst: ProblemInstance) -> np.ndarray:
 def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
                     rng: np.random.Generator) -> Optional[tuple[np.ndarray, _dual.Points]]:
     """A point with tau interior and G(zeta) positive definite, with its
-    one-row evaluation, or None."""
+    one-row evaluation, or None.
+
+    When sum(B) is positive definite, G = M + s sum(B) is positive definite
+    for a large enough s, whatever the signs of the single B_i, so the
+    first try is that lift with every sigma_i = s; then sampled starts."""
     tau0 = np.full(inst.p, 0.5 / max(inst.p, 1))[:inst.p]
     if inst.r:
-        # lift along sum(B) when the quartic block can shift G positive
-        B_sum = inst.B_stack.sum(axis=0)
-        wB = np.linalg.eigvalsh(B_sum)
-        B_all_psd = all(np.linalg.eigvalsh(t.B).min() > -_dual.SING_TOL * 10
-                        for t in inst.quartic_terms)
-        if B_all_psd and wB[0] > 1e-12:
+        wB = np.linalg.eigvalsh(inst.B_stack.sum(axis=0))
+        if wB[0] > 1e-12:
             M = inst.curvature(tau0, np.zeros(inst.r))
             ell = float(np.linalg.eigvalsh(M)[0])
             scale = 1.0 + float(np.max(np.abs(inst.A)))
@@ -282,23 +285,24 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _dual.Points,
                    cfg: SolverConfig):
     """The root search's Newton iteration kept inside the positive region,
     from z with its one-row evaluation ``pts``: the step of
-    :func:`_directions`, the first trial capped by the fraction-to-boundary
-    rule on tau, and a trial accepted only where tau is interior, G is
-    positive definite and the merit test of :func:`_lockstep_newton` holds.
-    There the dual is strictly concave, so its one root is the maximiser.
-    Halvings are tried one row at a time: G's factorisation is most of a
-    trial's cost at large n, and the first trial is usually accepted.
+    :func:`_directions`, every line search from t = 1, and a trial accepted
+    only where :func:`_positive_point` holds (tau in the open simplex, G
+    positive definite) and the merit test of :func:`_lockstep_newton` holds.
+    That region is convex and the dual is strictly concave on it, so its
+    one root is the maximiser, and no cap on tau is needed: a trial outside
+    the simplex fails the test without a factorisation of G. Halvings are
+    tried one row at a time: G's factorisation is most of a trial's cost at
+    large n, and the first trial is usually accepted.
 
     Returns (z, pts, iterations, converged) at the last accepted point.
     """
-    p = inst.p
     for it in range(1, cfg.max_iter + 1):
         if float(np.max(np.abs(pts.grad[0]))) <= GRAD_TOL:
             return z, pts, it, True
-        step, flat = _directions(inst, z[None, :p], pts)
+        step, flat = _directions(inst, z[None, :inst.p], pts)
         if flat[0]:
             return z, pts, it, False
-        t = min(1.0, _tau_step_caps(z[None, :p], step[:, :p], BOUNDARY_MARGIN)[0])
+        t = 1.0
         merit = _half_sq_norms(pts.grad)[0]
         while t > _STEP_FLOOR:
             trial = z + t * step[0]
@@ -482,7 +486,7 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
 
     def direction(Z, g, rows):
         dz, flat = _directions(inst, Z[:, :p], _dual.Points(*rows))
-        t0 = np.minimum(1.0, _tau_step_caps(Z[:, :p], dz[:, :p], BOUNDARY_MARGIN))
+        t0 = np.minimum(1.0, _tau_step_caps(Z[:, :p], dz[:, :p]))
         return dz, t0, flat
 
     return _lockstep_newton(evaluate, direction, Z0, cfg.max_iter, GRAD_TOL,
@@ -648,10 +652,11 @@ def solve_global(inst: ProblemInstance,
     """Certified global minimization via dual ascent in the positive region.
 
     Raises :class:`HardCaseError` when no interior starting point can be
-    found or the ascent stalls on the region boundary without reaching a
-    critical point (the known remedy is a perturbation of the load, which
-    this solver does not attempt), or on the ``BOUNDARY_MARGIN`` floor of
-    tau or of the simplex slack. The certificate is weak duality,
+    found or the ascent stalls on the region boundary (tau on the simplex
+    edge, or G singular) without reaching a critical point; the known remedy
+    is a perturbation of the load, which this solver does not attempt. The
+    stall's context adds ``tau_min``, the smallest of tau and the simplex
+    slack, when p > 0. The certificate is weak duality,
     Pi(x) >= Pi^d(zeta) on the positive-definite region, which holds for
     any number of measure components.
     """
@@ -664,13 +669,8 @@ def solve_global(inst: ProblemInstance,
     if not converged:
         context = dict(min_eig=float(pts.w[0, 0]),
                        grad_inf=float(np.max(np.abs(pts.grad[0]))), iterations=iters)
-        # the smallest of tau and the slack: at the margin the ascent stops
-        # on the floor of _tau_step_caps, wherever the region's boundary is
-        tau_min = float(np.min(np.append(z[:inst.p], 1.0 - z[:inst.p].sum())))
-        if tau_min <= 2.0 * BOUNDARY_MARGIN:
-            raise HardCaseError(
-                "dual ascent stalled at the simplex margin of tau; no critical "
-                "point farther inside the simplex", **context, tau_min=tau_min)
+        if inst.p:
+            context["tau_min"] = float(min(z[:inst.p].min(), 1.0 - z[:inst.p].sum()))
         raise HardCaseError(
             "dual ascent stalled at the boundary of the positive-definite "
             "region; no interior critical point", **context)

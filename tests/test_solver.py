@@ -83,14 +83,52 @@ class TestSolveGlobal:
             solve_global(inst)
         assert "tau_min" not in err.value.context
 
-    def test_stall_at_the_simplex_margin_is_named(self):
-        # the minimiser pairs with tau = 2.4e-12, below the margin the ascent
-        # keeps; it stops on tau's floor with G well inside the positive region
-        inst = rand_instance(np.random.default_rng(17), 2, 1, 1, spd_quartic=True)
-        with pytest.raises(HardCaseError, match="simplex margin") as err:
+    @pytest.mark.parametrize("seed,n,p,spd,half_width", [
+        (17, 2, 1, True, 6.0),
+        ([27, 2, 1, 1, False], 2, 1, False, 11.0),
+        ([33, 2, 1, 1, True], 2, 1, True, 6.0),
+        ([42, 1, 2, 1, False], 1, 2, False, 6.0),
+        ([51, 1, 1, 1, False], 1, 1, False, 8.0)],
+        ids=["17", "27-2-1-1-False", "33-2-1-1-True", "42-1-2-1-False", "51-1-1-1-False"])
+    def test_certifies_where_the_margin_stopped_the_ascent(self, seed, n, p, spd, half_width):
+        # these minimisers pair with tau between 7e-37 and 1.3e-9; a floor of
+        # 1e-8 on tau stopped the ascent there with G well inside the positive
+        # region, and the positive-point test alone lets it reach the root
+        inst = rand_instance(np.random.default_rng(seed), n, p, 1, spd_quartic=spd)
+        rep = solve_global(inst)
+        _, v_star = grid_global_min(inst, (-half_width, half_width), 601)
+        assert rep.best.classification == Classification.GLOBAL_MIN
+        assert float(rep.best.zeta.tau.min()) < BOUNDARY_MARGIN
+        assert rep.best.primal_value == pytest.approx(v_star, abs=1e-8)
+
+    @pytest.mark.parametrize("key,half_width", [((25, 2, 0, 2, False), 14.0),
+                                                ((14, 2, 1, 2, False), 6.0)],
+                             ids=["25-2-0-2-False", "14-2-1-2-False"])
+    def test_lift_needs_only_a_definite_sum_of_weights(self, key, half_width):
+        # one B_i is indefinite and sum(B) is positive definite, so
+        # G = M + s sum(B) is positive definite for a large enough s
+        _, n, p, r, spd = key
+        inst = rand_instance(np.random.default_rng(list(key)), n, p, r, spd_quartic=spd)
+        assert min(np.linalg.eigvalsh(B).min() for B in inst.B_stack) < 0.0
+        assert np.linalg.eigvalsh(inst.B_stack.sum(axis=0))[0] > 0.0
+        z, _ = solver._interior_start(inst, solver.DEFAULT_CONFIG,
+                                      np.random.default_rng(solver.DEFAULT_CONFIG.seed))
+        sigma = z[inst.p:]
+        assert sigma[0] > 0.0 and np.all(sigma == sigma[0])
+        rep = solve_global(inst)
+        _, v_star = grid_global_min(inst, (-half_width, half_width), 601)
+        assert rep.best.classification == Classification.GLOBAL_MIN
+        assert rep.best.primal_value == pytest.approx(v_star, abs=1e-8)
+
+    def test_stall_on_the_simplex_edge_has_the_one_message(self):
+        # the ascent runs tau onto the simplex edge with G well inside the
+        # positive region; that is the region's boundary like any other
+        inst = rand_instance(np.random.default_rng([2, 2, 2, 1, False]), 2, 2, 1,
+                             spd_quartic=False)
+        with pytest.raises(HardCaseError, match="positive-definite region") as err:
             solve_global(inst)
-        assert err.value.context["tau_min"] <= 2.0 * BOUNDARY_MARGIN
-        assert err.value.context["min_eig"] > 0.1
+        assert err.value.context["tau_min"] < 1e-20
+        assert err.value.context["min_eig"] > 0.0
 
     def test_residual_below_tolerance(self):
         rep = solve_global(fixtures.example1())
@@ -367,7 +405,8 @@ def _serial_newton_root(inst, z, cfg, positive=False):
     """Reference for the lockstep search: the same Newton iteration for one
     start, one point at a time through the public dual functions. With
     ``positive``, a point counts only where G(zeta) is positive definite,
-    which makes it the reference of the ascent. Returns (z, iterations,
+    which makes it the reference of the ascent, and every line search
+    starts at t = 1 instead of at the cap on tau. Returns (z, iterations,
     converged, halvings): ``halvings`` lists the halving of t0 each step
     accepted, with None for a line search that reached the floor."""
     def factor(z):
@@ -410,7 +449,8 @@ def _serial_newton_root(inst, z, cfg, positive=False):
                 return z, it, False, halvings
             step /= size
         merit = 0.5 * float(g @ g)
-        t, h = min(1.0, tau_cap(zeta.tau, step[:inst.p], BOUNDARY_MARGIN)), 0
+        t = 1.0 if positive else min(1.0, tau_cap(zeta.tau, step[:inst.p], BOUNDARY_MARGIN))
+        h = 0
         while t > 1e-16:
             trial, trial_G = factor(z + t * step)
             if trial is not None:
@@ -811,11 +851,14 @@ def _scan_grid(inst):
 
 def _scan_cells(inst):
     """The grid, its derivative values and the sign-change cells of the
-    m = 1 scan."""
+    m = 1 scan: the cells whose end values are finite and differ in sign
+    or touch zero."""
     grid = _scan_grid(inst)
     vals = evaluate(inst, grid[:, None]).grad[:, 0]
-    finite = np.isfinite(vals)
-    cells = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] <= 0.0))[0]
+    cells = [i for i in range(len(grid) - 1)
+             if np.isfinite(vals[i]) and np.isfinite(vals[i + 1])
+             and (vals[i] <= 0.0 <= vals[i + 1] or vals[i + 1] <= 0.0 <= vals[i])]
+    cells = np.array(cells, dtype=int)
     return grid, vals, cells
 
 
@@ -933,6 +976,18 @@ class TestUnivariateScan:
         rows = _univariate_roots(_pole_in_cell(0.3))
         assert len(rows) >= 6 and len(rows) % 3 == 0
         assert calls == [4096]
+
+    def test_a_tiny_derivative_is_not_a_sign_change_everywhere(self):
+        """At beta = 1e300 the derivative is about 1e-300 on the whole grid,
+        so the product of two neighbouring values underflows to zero; only
+        the one cell around the root may count."""
+        inst = validate(ProblemInstance(A=[[-1.0]], f=[0.0],
+                                        lse_terms=(LseTerm(Q=[[1.0]], d=0.0),),
+                                        beta=1e300))
+        rows = _univariate_roots(inst)
+        assert 0 < len(rows) <= 3
+        rep = find_critical_points(inst)
+        assert rep.critical_pairs
 
 
 def _captured_search_rows(monkeypatch, inst, cfg):
