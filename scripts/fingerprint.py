@@ -3,6 +3,7 @@
 check of one tree against another.
 
     python3 scripts/fingerprint.py --jobs 2
+    python3 scripts/fingerprint.py --jobs 2 --per-set
 
 For each workload of BENCHMARK.json and each of its RECORDED_SEEDS input
 sets (0-31), draws the blocks the benchmark takes its exact counts over
@@ -13,6 +14,13 @@ residual norm and the notes, or the type of the raised error. Prints one
 SHA-256 per workload; two trees print the same line for a workload exactly
 when every one of those outputs is bitwise the same. The library is
 imported from the ``src`` of the checkout the script lives in.
+
+``--per-set`` also prints one line per input set: its digest, its exact
+counts (cases, pairs, certified, failed) and the counts recorded for it in
+``perfbench/expected_counts.json``, which the script reads and never
+writes. Two trees then show which input sets changed bits, and each tree
+whether any set's counts differ from the recorded ones; the exit code is 1
+when one does.
 """
 
 from __future__ import annotations
@@ -48,16 +56,26 @@ def _fields(result):
 
 
 def digest_for(job):
-    """SHA-256 of every output on the exact blocks of one input set."""
+    """SHA-256 of every output on the exact blocks of one input set, and
+    the benchmark's exact counts over those blocks."""
+    from checks import classify
     from workloads import WORKLOADS, block_rng
 
     workload, seed = job
     wl = WORKLOADS[workload]
     h = hashlib.sha256()
+    outcomes = []
     for index in range(wl.exact_blocks):
-        for case, _, result in run._solve(wl.make_block(block_rng(workload, seed, index), False)):
+        for case, dt, result in run._solve(wl.make_block(block_rng(workload, seed, index), False)):
             h.update(json.dumps([case.label, *_fields(result)]).encode())
-    return workload, seed, h.hexdigest()
+            outcomes.append(classify(case, dt, result))
+    return workload, seed, h.hexdigest(), run.exact_counts(outcomes)
+
+
+def _counts(counts) -> str:
+    if counts is None:
+        return "none"
+    return " ".join(f"{key} {counts[key]}" for key in ("cases", "pairs", "certified", "failed"))
 
 
 def main(argv=None) -> int:
@@ -65,6 +83,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="default: every workload in BENCHMARK.json")
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--per-set", action="store_true",
+                        help="also print each input set's digest and exact counts "
+                             "next to the recorded counts")
     args = parser.parse_args(argv)
 
     _init()
@@ -74,13 +95,21 @@ def main(argv=None) -> int:
     jobs = [(name, seed) for name in names for seed in range(RECORDED_SEEDS)]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(max(1, args.jobs), initializer=_init) as pool:
-        digests = {(w, s): d for w, s, d in pool.imap_unordered(digest_for, jobs)}
+        done = {(w, s): (d, c) for w, s, d, c in pool.imap_unordered(digest_for, jobs)}
+    differ = 0
     for name in names:
         h = hashlib.sha256()
         for seed in range(RECORDED_SEEDS):
-            h.update(digests[name, seed].encode())
+            digest, counts = done[name, seed]
+            h.update(digest.encode())
+            if args.per_set:
+                recorded = run._recorded(name, seed, WORKLOADS[name].exact_blocks)
+                same = counts == recorded
+                differ += not same
+                print(f"{name} set {seed}: {digest} counts {_counts(counts)}; "
+                      f"recorded {_counts(recorded)}; {'same' if same else 'DIFFERENT'}")
         print(f"{name} sets 0-{RECORDED_SEEDS - 1}: {h.hexdigest()}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

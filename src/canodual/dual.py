@@ -21,10 +21,12 @@ Every formula is written once, for a stack of k flat dual vectors
 (tau, sigma) as a (k, m) array. The kernel ``evaluate`` factorizes G with
 one stacked ``eigh`` and gives x = G^{-1} f, the measure rows at x and the
 gradient of every row; ``hessians`` reuses that factorization for the m
-back-solves and ``dual_value`` gives the value. The solvers call the kernel
-on their flat vectors; the per-point functions ``assemble``, ``grad_dual``,
-``hess_dual`` and ``eval_dual`` run the same steps on one row, so each row
-of a stack rounds exactly as that point alone.
+back-solves and ``dual_value`` gives the value. ``gradients`` gives the
+gradient alone, with x from one stacked LU solve (``solve_rows``) and no
+eigendecomposition: the m = 1 scan needs no more. The solvers call the
+kernels on their flat vectors; the per-point functions ``assemble``,
+``grad_dual``, ``hess_dual`` and ``eval_dual`` run the same steps on one
+row, so each row of a stack rounds exactly as that point alone.
 """
 
 from __future__ import annotations
@@ -140,14 +142,57 @@ def _gradients(inst: ProblemInstance, Z: np.ndarray, x: np.ndarray):
     return grad, Mx
 
 
+def _inside(inst: ProblemInstance, Z: np.ndarray) -> np.ndarray:
+    """The rows of Z (k, m) with tau in the open simplex."""
+    if not inst.p:
+        return np.ones(len(Z), dtype=bool)
+    tau = Z[:, :inst.p]
+    return (tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)
+
+
+def solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution of M[i] s = b[i] for every row of b (k, n) by LU with
+    partial pivoting, rounded as the solve of one point; NaN where LAPACK
+    finds M[i] singular.
+
+    One singular M[i] fails a stacked ``solve`` whole. Then one stacked
+    ``slogdet`` marks those rows: it runs the same ``getrf`` and gives sign
+    0 exactly where that meets a zero pivot. One ``solve`` takes the rest,
+    so a stack costs at most three LAPACK calls, however many rows are
+    singular."""
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        with np.errstate(invalid="ignore"):  # a NaN matrix is singular too
+            regular = np.linalg.slogdet(M)[0] != 0.0
+        if regular.any():
+            out[regular] = np.linalg.solve(M[regular], b[regular][..., None])[..., 0]
+        return out
+
+
+def gradients(inst: ProblemInstance, Z: np.ndarray) -> np.ndarray:
+    """The dual gradients (k, m) at the rows of Z (k, m), with x = G^{-1} f
+    from one stacked LU solve (:func:`solve_rows`) and no eigendecomposition;
+    NaN at the rows with tau outside the open simplex or G singular to
+    LAPACK. Unlike :func:`evaluate`, which flags G singular within
+    ``SING_TOL``, a row next to a pole of G^{-1} is finite here, with a
+    large x. Each row rounds as it would alone."""
+    grad = np.full((len(Z), inst.m), np.nan)
+    inside = _inside(inst, Z)
+    Zin, = _rows_where(inside, Z)
+    x = solve_rows(inst.curvatures(Zin), np.broadcast_to(inst.f, (len(Zin), inst.n)))
+    solved = np.isfinite(x).all(axis=1)
+    Zv, x = _rows_where(solved, Zin, x)
+    grad[inside.nonzero()[0][solved]] = _gradients(inst, Zv, x)[0]
+    return grad
+
+
 def evaluate(inst: ProblemInstance, Z: np.ndarray) -> Points:
-    """The dual kernel at every row of Z (k, m), with one stacked ``eigh``.
+    """The eigen kernel at every row of Z (k, m), with one stacked ``eigh``.
     Each row rounds as it would alone."""
-    k, p = len(Z), inst.p
-    inside = np.ones(k, dtype=bool)
-    if p:
-        tau = Z[:, :p]
-        inside = (tau.min(axis=1) > 0.0) & (tau.sum(axis=1) < 1.0)
+    k = len(Z)
+    inside = _inside(inst, Z)
     Zin, = _rows_where(inside, Z)
     _, w, U, _, nonsingular, x = _factor(inst, Zin)
     Zv, U, w = _rows_where(nonsingular, Zin, U, w)

@@ -36,15 +36,17 @@ search makes, never its result.
 
 For m = 1 the first starts are the points of a scan
 (``_univariate_roots``): the dual derivative on a grid of the single weight
-in one kernel call, and for every sign-change cell its secant point and
-both ends. The scan only brackets; the Newton search refines. The sampled
-starts are still drawn, since the primal seeds follow them in the
-generator's stream.
+in one call of the gradient-only kernel ``dual.gradients`` (one stacked LU
+solve, no eigendecomposition), and for every sign-change cell its secant
+point and both ends. The scan only brackets; the Newton search refines.
+The sampled starts are still drawn, since the primal seeds follow them in
+the generator's stream.
 
-Every dual evaluation inside the solvers calls the stacked kernel of
-``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m) array of
-flat dual vectors; the ascent and its interior start pass one row at a
-time. ``find_critical_points`` keeps its
+Every other dual evaluation inside the solvers calls the stacked eigen
+kernel of ``dual`` (``dual.evaluate`` and ``dual.hessians``) on a (k, m)
+array of flat dual vectors; the ascent and its interior start pass one row
+at a time. The Newton steps of both searches solve through
+``dual.solve_rows``, the one stacked solve. ``find_critical_points`` keeps its
 starts, the primal seeds (``primal.duality_map`` on a stack) and its roots
 as flat arrays; ``make_pair`` and ``triality_classify``, at the API edge,
 take a ``DualPoint`` and call the per-point functions of ``dual``.
@@ -223,17 +225,19 @@ def _univariate_roots(inst: ProblemInstance) -> np.ndarray:
     Multistart Newton from sampled points can step over thin basins next to
     the singular points of G; a dense grid is cheap in one variable and puts
     a bracket around every sign change of the dual derivative. The grid is
-    the scan's one kernel call. The scan only brackets: the Newton search
-    decides which of the points lead to roots (a cell around a pole of
-    G^{-1} brackets the pole, not a root), and a cell's ends reach roots
-    its secant point misses.
+    the scan's one call of ``dual.gradients``, whose stacked LU solve
+    costs a fraction of the eigen kernel's ``eigh`` on the 4,096 rows; a
+    row where LAPACK finds G singular is NaN and bounds no cell. The scan
+    only brackets: the Newton search decides which of the points lead to
+    roots (a cell around a pole of G^{-1} brackets the pole, not a root),
+    and a cell's ends reach roots its secant point misses.
     """
     if inst.r == 1:
         lo, hi = _sigma_box(inst)
         grid = np.linspace(float(lo[0]), float(hi[0]), 4096)
     else:
         grid = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
-    vals = _dual.evaluate(inst, grid[:, None]).grad[:, 0]
+    vals = _dual.gradients(inst, grid[:, None])[:, 0]
     finite = np.isfinite(vals)
     change = np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0  # a product may underflow
     cells = np.nonzero(finite[:-1] & finite[1:] & change)[0]
@@ -324,7 +328,7 @@ def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _dual.Points):
     points where that descent direction is zero."""
     J = _dual.hessians(inst, tau, pts.Mx.transpose(0, 2, 1), pts.U, pts.w)
     g = pts.grad
-    steps = _solve_rows(J, -g)
+    steps = _dual.solve_rows(J, -g)
     flat = np.zeros(len(g), dtype=bool)
     descent = ~np.all(np.isfinite(steps), axis=1)
     if descent.any():
@@ -333,21 +337,6 @@ def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _dual.Points):
         flat[descent] = size == 0.0
         steps[descent] = sd / np.where(size == 0.0, 1.0, size)[:, None]
     return steps, flat
-
-
-def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution of J[i] s = b[i] for every row of b (k, n), rounded as the
-    solve of one point; NaN where LAPACK finds J[i] singular."""
-    try:
-        return np.linalg.solve(J, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # one singular J fails the whole stack
-        out = np.full_like(b, np.nan)
-        for i in range(len(b)):
-            try:
-                out[i] = np.linalg.solve(J[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
 
 
 def _half_sq_norms(g: np.ndarray) -> np.ndarray:
@@ -509,7 +498,7 @@ def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
         return np.ones(len(X), dtype=bool), _primal.grad_primal(inst, X), ()
 
     def direction(X, g, _):
-        dx = _solve_rows(_primal.hess_primal(inst, X), -g)
+        dx = _dual.solve_rows(_primal.hess_primal(inst, X), -g)
         descent = ~np.isfinite(dx).all(axis=1)
         dx[descent] = -g[descent]
         return dx, np.ones(len(X)), np.zeros(len(X), dtype=bool)

@@ -12,8 +12,11 @@ from canodual.dual import (
     dual_weight_inverse,
     eval_complementary,
     eval_dual,
+    evaluate,
     grad_dual,
+    gradients,
     hess_dual,
+    solve_rows,
 )
 from canodual.errors import DomainError, SingularMatrixError
 from canodual.model import DualPoint, ProblemInstance, QuarticTerm, Region, validate
@@ -301,3 +304,61 @@ class TestPointContracts:
                 assert Dinv.shape == (6, m, m)
                 for i, tau in enumerate(T):
                     assert np.array_equal(Dinv[i], dual_weight_inverse(inst, tau))
+
+
+def _singular_rows(rng, k, n):
+    """A (k, n, n) stack of random matrices, a third of them singular to
+    LAPACK: a zero column, two equal rows, or a NaN entry."""
+    M = rng.standard_normal((k, n, n))
+    for i in range(0, k, 3):
+        kind = rng.integers(3)
+        if kind == 0:
+            M[i, :, rng.integers(n)] = 0.0
+        elif kind == 1 and n > 1:
+            M[i, 1] = M[i, 0]
+        else:
+            M[i, rng.integers(n), rng.integers(n)] = np.nan
+    return M
+
+
+class TestStackedKernels:
+    def test_a_solve_is_each_row_solved_alone(self):
+        """Every row of a stack, singular ones among them, is bitwise the
+        solve of that matrix alone, and NaN exactly where that solve fails."""
+        rng = np.random.default_rng(21)
+        singular = 0
+        for _ in range(100):
+            k, n = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            M, b = _singular_rows(rng, k, n), rng.standard_normal((k, n))
+            got = solve_rows(M, b)
+            for i in range(k):
+                try:
+                    want = np.linalg.solve(M[i], b[i])
+                except np.linalg.LinAlgError:
+                    singular += 1
+                    assert np.isnan(got[i]).all()
+                else:
+                    assert np.array_equal(got[i], want, equal_nan=True)
+        assert singular >= 100
+
+    def test_gradients_are_the_eigen_kernels(self):
+        """The LU kernel's gradient is the eigen kernel's to rounding at
+        every valid row, NaN at a row outside the open simplex or with G
+        singular, and each row rounds as it would alone."""
+        rng = np.random.default_rng(22)
+        for n in (1, 2, 3, 4):
+            for m in range(1, 4):
+                for p in range(m + 1):
+                    inst = rand_instance(rng, n=n, p=p, r=m - p)
+                    Z = np.array([rand_feasible_zeta(rng, inst).vector() for _ in range(5)])
+                    if p:
+                        Z[1, :p] = 1.5 / p  # tau outside the simplex
+                    grad, pts = gradients(inst, Z), evaluate(inst, Z)
+                    assert grad.shape == (5, m)
+                    assert np.isfinite(grad).all(axis=1).tolist() == pts.valid.tolist()
+                    np.testing.assert_allclose(grad[pts.valid], pts.grad[pts.valid],
+                                               rtol=1e-8, atol=1e-10)
+                    for i, z in enumerate(Z):
+                        assert np.array_equal(gradients(inst, z[None])[0], grad[i],
+                                              equal_nan=True)
+        assert np.isnan(gradients(_singular_instance(), np.zeros((3, 1)))).all()

@@ -20,6 +20,7 @@ from canodual.dual import (
     assemble,
     evaluate,
     grad_dual,
+    gradients,
     hess_dual,
     hessians,
 )
@@ -554,7 +555,8 @@ class TestLockstepRoots:
     def test_no_search_evaluates_an_empty_stack(self, monkeypatch):
         """Both lockstep searches stop once no start is running, without a
         last call of the kernel or the primal layer on no rows, and an m = 1
-        instance with no scanned cell and no primal seed runs no search."""
+        instance with no scanned cell and no primal seed runs no search: its
+        one kernel call is the scan's grid, on the gradient-only kernel."""
         calls = {}
 
         def nonempty(module, name):
@@ -567,6 +569,7 @@ class TestLockstepRoots:
             monkeypatch.setattr(module, name, counted)
 
         nonempty(dual, "evaluate")
+        nonempty(dual, "gradients")
         nonempty(primal, "grad_primal")
         nonempty(primal, "hess_primal")
         rng = np.random.default_rng(4)
@@ -575,11 +578,12 @@ class TestLockstepRoots:
             for m in (1, 2):
                 for p in range(m + 1):
                     find_critical_points(rand_instance(rng, n=n, p=p, r=m - p), cfg)
-        assert set(calls) == {"evaluate", "grad_primal", "hess_primal"}
+        assert set(calls) == {"evaluate", "gradients", "grad_primal", "hess_primal"}
         calls.clear()
         report = find_critical_points(_random_m1_draws()[31], cfg)
         assert report.notes == ["0 starts, 0 converged, 0 distinct critical points"]
-        assert report.iterations == 0 and calls["evaluate"] == 1  # the scan's grid
+        assert report.iterations == 0 and calls["gradients"] == 1  # the scan's grid
+        assert "evaluate" not in calls
 
     def test_batches_follow_each_start_history(self):
         """Each start's batch comes from its own tried count and previous
@@ -772,22 +776,36 @@ class TestLockstepHarvest:
         assert ending == "capped" and not converged[0] and np.array_equal(X[0], x)
 
     def test_failed_hessian_solves_fall_back_row_by_row(self, monkeypatch):
-        """With a third of the Hessians refused as singular, a stacked solve
-        holding one of them fails whole; its rows are retried one at a time
-        and the refused ones step along -grad, as the reference does."""
-        solve = np.linalg.solve
-        refused = {"stacked": 0, "one": 0}
+        """With a third of the Hessians refused as singular by LAPACK (by
+        its solve and its slogdet alike), a stacked solve holding one of
+        them fails whole; the slogdet marks the refused rows, the others are
+        solved in one call, and the refused ones step along -grad, as the
+        reference does."""
+        solve, slogdet = np.linalg.solve, np.linalg.slogdet
+        refused = {"stacked": 0, "one": 0, "marked": 0}
 
-        def flaky(a, b):
+        def singular(a):
             mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
-            if any(zlib.crc32(np.ascontiguousarray(M).tobytes()) % 3 == 0 for M in mats):
-                refused["stacked" if len(mats) > 1 else "one"] += 1
+            return np.array([zlib.crc32(np.ascontiguousarray(M).tobytes()) % 3 == 0
+                             for M in mats])
+
+        def flaky_solve(a, b):
+            refuse = singular(a)
+            if refuse.any():
+                refused["stacked" if len(refuse) > 1 else "one"] += 1
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", flaky)
+        def flaky_slogdet(a):
+            sign, logdet = slogdet(a)
+            refuse = singular(a).reshape(np.shape(sign))
+            refused["marked"] += int(refuse.sum())
+            return np.where(refuse, 0.0, sign), np.where(refuse, -np.inf, logdet)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+        monkeypatch.setattr(np.linalg, "slogdet", flaky_slogdet)
         self._check_rows(1)
-        assert refused["stacked"] > 0 and refused["one"] > 0
+        assert refused["stacked"] > 0 and refused["one"] > 0 and refused["marked"] > 0
 
 
 class TestSolverConfig:
@@ -849,12 +867,13 @@ def _scan_grid(inst):
     return np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4096)
 
 
-def _scan_cells(inst):
+def _scan_cells(inst, kernel=gradients):
     """The grid, its derivative values and the sign-change cells of the
-    m = 1 scan: the cells whose end values are finite and differ in sign
-    or touch zero."""
+    m = 1 scan, with the gradients of ``kernel`` (the scan's own by
+    default): the cells whose end values are finite and differ in sign or
+    touch zero."""
     grid = _scan_grid(inst)
-    vals = evaluate(inst, grid[:, None]).grad[:, 0]
+    vals = kernel(inst, grid[:, None])[:, 0]
     cells = [i for i in range(len(grid) - 1)
              if np.isfinite(vals[i]) and np.isfinite(vals[i + 1])
              and (vals[i] <= 0.0 <= vals[i + 1] or vals[i + 1] <= 0.0 <= vals[i])]
@@ -862,11 +881,11 @@ def _scan_cells(inst):
     return grid, vals, cells
 
 
-def _scan_rows(inst):
+def _scan_rows(inst, kernel=gradients):
     """Reference for the m = 1 scan: for each sign-change cell [a, b] of
     the grid, its secant point a + fa / (fa - fb) (b - a) (the midpoint when
     fa = fb), then a, then b, as rows of a (k, 1) array."""
-    grid, vals, cells = _scan_cells(inst)
+    grid, vals, cells = _scan_cells(inst, kernel)
     rows = []
     for i in cells:
         a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
@@ -963,19 +982,66 @@ class TestUnivariateScan:
             singular_points += int(np.count_nonzero(~np.isfinite(vals)))
         assert straddling >= 2 and singular_points >= 1
 
+    def test_the_scan_rows_are_those_of_the_eigen_kernel(self):
+        """The LU kernel moves no cell: on the same sample the cells are,
+        bitwise, those of the eigen kernel's gradients, and the secant
+        points agree with its ones to 1e-12 relative."""
+        def eigen(inst, Z):
+            return evaluate(inst, Z).grad
+
+        for inst in self._instances():
+            rows = _univariate_roots(inst).reshape(-1, 3)
+            want = _scan_rows(inst, eigen).reshape(-1, 3)
+            assert rows.shape == want.shape
+            assert np.array_equal(rows[:, 1:], want[:, 1:])
+            np.testing.assert_allclose(rows[:, 0], want[:, 0], rtol=1e-12, atol=0.0)
+
     def test_the_scan_is_one_kernel_call(self, monkeypatch):
-        """The grid is the scan's only kernel call: a cell adds rows to the
-        Newton search and no evaluation."""
-        kernel, calls = dual.evaluate, []
+        """The grid is the scan's only kernel call, on the gradient-only
+        kernel and 4,096 rows; a cell adds rows to the Newton search and no
+        evaluation, and the eigen kernel is never called."""
+        calls = {"gradients": [], "evaluate": []}
 
-        def counted(inst, Z):
-            calls.append(len(Z))
-            return kernel(inst, Z)
+        def counted(name):
+            kernel = getattr(dual, name)
 
-        monkeypatch.setattr(dual, "evaluate", counted)
+            def call(inst, Z):
+                calls[name].append(len(Z))
+                return kernel(inst, Z)
+            monkeypatch.setattr(dual, name, call)
+
+        counted("gradients")
+        counted("evaluate")
         rows = _univariate_roots(_pole_in_cell(0.3))
         assert len(rows) >= 6 and len(rows) % 3 == 0
-        assert calls == [4096]
+        assert calls == {"gradients": [4096], "evaluate": []}
+
+    @pytest.mark.parametrize("f", [[1.0, 0.0, 0.0], [0.0, 1.0, -0.5]])
+    def test_a_null_vector_of_a_and_b_gives_no_rows(self, monkeypatch, f):
+        """A and B share the null vector e_1, so G(sigma) is singular on the
+        whole grid; f lies on that vector, then off it. The scan hands the
+        search no rows, in a bounded number of LAPACK calls rather than one
+        per row and with no eigendecomposition, and the report is that of
+        an instance with nothing to search."""
+        inst = validate(ProblemInstance(
+            A=[[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, -3.0]], f=f,
+            quartic_terms=(QuarticTerm(B=[[0.0, 0.0, 0.0], [0.0, 1.0, 0.5],
+                                          [0.0, 0.5, 2.0]], c=0.5, alpha=1.0),)))
+        calls = []
+        for name in ("solve", "slogdet", "eigh"):
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        rows = _univariate_roots(inst)
+        assert rows.shape == (0, 1)
+        assert 0 < len(calls) <= 3 and "eigh" not in calls
+        monkeypatch.undo()
+        report = find_critical_points(inst)
+        assert report.notes == ["0 starts, 0 converged, 0 distinct critical points"]
+        assert report.iterations == 0 and not report.critical_pairs
 
     def test_a_tiny_derivative_is_not_a_sign_change_everywhere(self):
         """At beta = 1e300 the derivative is about 1e-300 on the whole grid,
