@@ -3,7 +3,6 @@
 check of one tree against another.
 
     python3 scripts/fingerprint.py --jobs 2
-    python3 scripts/fingerprint.py --jobs 2 --per-set
 
 For each workload of BENCHMARK.json and each of its RECORDED_SEEDS input
 sets (0-31), draws the blocks the benchmark takes its exact counts over
@@ -11,16 +10,14 @@ sets (0-31), draws the blocks the benchmark takes its exact counts over
 case and hashes all it returns: every field of every critical pair
 (floats by their exact bits), the existence verdict, the iterations, the
 residual norm and the notes, or the type of the raised error. Prints one
-SHA-256 per workload; two trees print the same line for a workload exactly
-when every one of those outputs is bitwise the same. The library is
-imported from the ``src`` of the checkout the script lives in.
-
-``--per-set`` also prints one line per input set: its digest, its exact
-counts (cases, pairs, certified, failed) and the counts recorded for it in
-``perfbench/expected_counts.json``, which the script reads and never
-writes. Two trees then show which input sets changed bits, and each tree
-whether any set's counts differ from the recorded ones; the exit code is 1
-when one does.
+line per input set, with its digest, its exact counts (cases, pairs,
+certified, failed) and the counts recorded for it in
+``perfbench/expected_counts.json`` (read, never written), then one SHA-256
+per workload over the set digests. Two trees print the same workload line
+exactly when every one of those outputs is bitwise the same, and the set
+lines show which input sets changed bits. The exit code is 1 when any
+set's counts differ from the recorded ones. The library is imported from
+the ``src`` of the checkout the script lives in.
 """
 
 from __future__ import annotations
@@ -83,9 +80,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="default: every workload in BENCHMARK.json")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--per-set", action="store_true",
-                        help="also print each input set's digest and exact counts "
-                             "next to the recorded counts")
     args = parser.parse_args(argv)
 
     _init()
@@ -102,12 +96,11 @@ def main(argv=None) -> int:
         for seed in range(RECORDED_SEEDS):
             digest, counts = done[name, seed]
             h.update(digest.encode())
-            if args.per_set:
-                recorded = run._recorded(name, seed, WORKLOADS[name].exact_blocks)
-                same = counts == recorded
-                differ += not same
-                print(f"{name} set {seed}: {digest} counts {_counts(counts)}; "
-                      f"recorded {_counts(recorded)}; {'same' if same else 'DIFFERENT'}")
+            recorded = run._recorded(name, seed, WORKLOADS[name].exact_blocks)
+            same = counts == recorded
+            differ += not same
+            print(f"{name} set {seed}: {digest} counts {_counts(counts)}; "
+                  f"recorded {_counts(recorded)}; {'same' if same else 'DIFFERENT'}")
         print(f"{name} sets 0-{RECORDED_SEEDS - 1}: {h.hexdigest()}")
     return 1 if differ else 0
 

@@ -775,7 +775,7 @@ class TestLockstepHarvest:
         X, converged = _primal_roots(inst, x0[None], tol)
         assert ending == "capped" and not converged[0] and np.array_equal(X[0], x)
 
-    def test_failed_hessian_solves_fall_back_row_by_row(self, monkeypatch):
+    def test_failed_hessian_solves_are_marked_and_step_along_minus_grad(self, monkeypatch):
         """With a third of the Hessians refused as singular by LAPACK (by
         its solve and its slogdet alike), a stacked solve holding one of
         them fails whole; the slogdet marks the refused rows, the others are
