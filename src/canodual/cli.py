@@ -2,7 +2,8 @@
 
 Exit-code contract: 0 on success, 1 on usage/input errors, 2 on method
 limitations (no certified global solution for this instance), so scripts
-can separate hard instances from bugs.
+can separate hard instances from bugs. :func:`main` maps every library
+error to its class's ``exit_status``, in one place.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import minimax, oracle, quartic, univariate
-from .errors import (
-    CanodualError,
-    DimensionTooLargeError,
-    HardCaseError,
-    InvalidModelError,
-    NoDualCriticalPointError,
-    ParseError,
-    ShapeMismatchError,
-    UnboundedError,
-)
+from .errors import CanodualError, HardCaseError, ShapeMismatchError
 from .model import (
     Classification,
     ProblemInstance,
@@ -43,16 +35,26 @@ ORACLE_BOX = 6.0
 BOX_EDGE = 5.9
 
 
+class _InputError(Exception):
+    """A problem file or option that cannot be read; printed as
+    ``error: ...`` with no code, exit 1."""
+
+
 def _load(path: str) -> ProblemInstance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_problem(fh)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        raise _InputError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except (OSError, ValueError, CanodualError) as exc:
+        raise _InputError(exc) from exc
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(seed=args.seed, num_starts=args.starts)
+    try:
+        return SolverConfig(seed=args.seed, num_starts=args.starts)
+    except ValueError as exc:
+        raise _InputError(exc) from exc
 
 
 def _print_report(report: SolveReport, status: str, as_json: bool):
@@ -73,70 +75,54 @@ def _print_report(report: SolveReport, status: str, as_json: bool):
         print(f"    x = ({x})  tau = ({tau})  sigma = ({sigma})")
 
 
+def _solve(inst: ProblemInstance, cfg: SolverConfig, specialize: bool) -> SolveReport:
+    """``solve_global``'s report, or with ``specialize`` that of the first
+    univariate fast path whose shape the instance has."""
+    if specialize:
+        for fast_path in (lambda: quartic.solve(quartic.QuarticInstance.from_problem(inst)),
+                          lambda: minimax.solve_smoothed(inst)):
+            try:
+                return fast_path()
+            except ShapeMismatchError:
+                pass  # try the next fast path, then the general solver
+    return solve_global(inst, cfg)
+
+
 def cmd_solve(args) -> int:
+    inst, cfg = _load(args.path), _config(args)
+    if args.beta is not None:
+        inst = validate(replace(inst, beta=args.beta))
     try:
-        inst = _load(args.path)
-        cfg = _config(args)
-    except (OSError, ValueError, CanodualError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.beta is not None:
-            inst = validate(replace(inst, beta=args.beta))
         if args.all_critical:
             report = find_critical_points(inst, cfg)
             found_global = any(p.classification == Classification.GLOBAL_MIN
                                for p in report.critical_pairs)
             _print_report(report, "CRITICAL_POINTS_FOUND", args.json)
             return 0 if found_global else 2
-        if args.specialize:
-            try:
-                qi = quartic.QuarticInstance.from_problem(inst)
-                report = quartic.solve(qi)
-                _print_report(report, "GLOBAL_MIN_FOUND", args.json)
-                return 0
-            except ShapeMismatchError:
-                pass
-            try:
-                report = minimax.solve_smoothed(inst)
-                _print_report(report, "GLOBAL_MIN_FOUND", args.json)
-                return 0
-            except ShapeMismatchError:
-                pass  # no fast path applies; fall through to the general solver
-        report = solve_global(inst, cfg)
-        _print_report(report, "GLOBAL_MIN_FOUND", args.json)
+        _print_report(_solve(inst, cfg, args.specialize), "GLOBAL_MIN_FOUND", args.json)
         return 0
-    except (HardCaseError, NoDualCriticalPointError, UnboundedError) as exc:
-        report = SolveReport()
-        report.notes.append(str(exc))
-        if exc.code == "NO_SA_PLUS_CRITICAL_POINT":
+    except CanodualError as exc:
+        if exc.exit_status == 1:
+            raise
+        # a limit of the method is a result: the report carries its status
+        report = SolveReport(notes=[str(exc)])
+        if isinstance(exc, HardCaseError):
             report.notes.append(
                 "no certified global solution from the dual; a load "
                 "perturbation strategy would be needed for this instance")
         _print_report(report, exc.code, args.json)
-        return 2
-    except CanodualError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_status
 
 
 def cmd_check_existence(args) -> int:
-    try:
-        inst = _load(args.path)
-    except (OSError, CanodualError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        # the shape picks the form, so each form's own error is the one shown
-        if (inst.p, inst.r) == (0, 1):
-            qi = quartic.QuarticInstance.from_problem(inst)
-            detail = univariate.existence(qi.spectral(), univariate.quartic(qi.alpha, qi.c))
-        else:
-            can = minimax.canonical_from_problem(inst)
-            detail = univariate.existence(can.spectral(), univariate.entropy(can.d, can.beta))
-    except ShapeMismatchError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+    inst = _load(args.path)
+    # the shape picks the form, so each form's own error is the one shown
+    if (inst.p, inst.r) == (0, 1):
+        qi = quartic.QuarticInstance.from_problem(inst)
+        detail = univariate.existence(qi.spectral(), univariate.quartic(qi.alpha, qi.c))
+    else:
+        can = minimax.canonical_from_problem(inst)
+        detail = univariate.existence(can.spectral(), univariate.entropy(can.d, can.beta))
     print(detail["verdict"].value)
     print(f"lambda_min = {detail['lambda_min']:.9g} "
           f"(multiplicity {detail['multiplicity']})")
@@ -148,39 +134,18 @@ def cmd_check_existence(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        comparison = reproduce_example(args.example, beta=args.beta, cfg=_config(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvalidModelError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+    comparison = reproduce_example(args.example, beta=args.beta, cfg=_config(args))
     print(comparison.table())
     return 0 if comparison.ok else 2
 
 
 def cmd_oracle_compare(args) -> int:
     if not 0.0 <= args.tol < np.inf:  # also rejects nan
-        print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
-        return 1
-    try:
-        inst = _load(args.path)
-        cfg = _config(args)
-    except (OSError, ValueError, CanodualError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        oracle.check_grid_dimension(inst.n)
-        report = solve_global(inst, cfg)
-        x_star, v_star = oracle.grid_global_min(inst, (-ORACLE_BOX, ORACLE_BOX),
-                                                resolution=601)
-    except DimensionTooLargeError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except (HardCaseError, NoDualCriticalPointError, UnboundedError) as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    inst, cfg = _load(args.path), _config(args)
+    oracle.check_grid_dimension(inst.n)
+    report = solve_global(inst, cfg)
+    x_star, v_star = oracle.grid_global_min(inst, (-ORACLE_BOX, ORACLE_BOX), resolution=601)
     best = report.best
     dev = abs(best.primal_value - v_star)
     print(f"dual solve:  value = {best.primal_value:.10f}  "
@@ -194,6 +159,14 @@ def cmd_oracle_compare(args) -> int:
               f"the global minimum may lie outside it")
         return 2
     return 0 if dev <= args.tol else 2
+
+
+COMMANDS = {
+    "solve": cmd_solve,
+    "check-existence": cmd_check_existence,
+    "reproduce": cmd_reproduce,
+    "oracle-compare": cmd_oracle_compare,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,15 +223,14 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the exit contract reserves 1
         return 0 if exc.code in (0, None) else 1
-    if args.command == "solve":
-        return cmd_solve(args)
-    if args.command == "check-existence":
-        return cmd_check_existence(args)
-    if args.command == "reproduce":
-        return cmd_reproduce(args)
-    if args.command == "oracle-compare":
-        return cmd_oracle_compare(args)
-    return 1
+    try:
+        return COMMANDS[args.command](args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except CanodualError as exc:
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return exc.exit_status
 
 
 if __name__ == "__main__":

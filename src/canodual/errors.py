@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
-Every error carries a stable ``code`` string so the CLI can map failures to
-exit codes and scripts can branch on machine-readable identifiers.
+Every error carries a stable ``code`` string, so scripts can branch on
+machine-readable identifiers, and the CLI's ``exit_status``: 2 for a limit of
+the method (no certified global solution for this instance), 1 for every
+other error.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ class CanodualError(Exception):
     """Base class for all library errors."""
 
     code = "ERROR"
+    exit_status = 1
 
     def __init__(self, message: str = "", **context):
         self.context = context
@@ -66,6 +69,7 @@ class UnboundedError(CanodualError):
     """The objective is not bounded below."""
 
     code = "UNBOUNDED"
+    exit_status = 2
 
 
 class NoDualCriticalPointError(CanodualError):
@@ -73,6 +77,7 @@ class NoDualCriticalPointError(CanodualError):
     positive-definite region (a relatively hard instance)."""
 
     code = "NOT_EXISTS"
+    exit_status = 2
 
 
 class HardCaseError(CanodualError):
@@ -82,6 +87,7 @@ class HardCaseError(CanodualError):
     cannot be certified by the analytic recovery formula."""
 
     code = "NO_SA_PLUS_CRITICAL_POINT"
+    exit_status = 2
 
 
 class NotCriticalError(CanodualError):

@@ -54,7 +54,7 @@ from .model import (
     SpectralData,
     _symmetrized,
 )
-from .solver import make_pair
+from .solver import _sorted_pairs, make_pair
 
 
 @dataclass(frozen=True)
@@ -161,27 +161,33 @@ def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     the definiteness test, the canonical A = W'A1W and the offset, since
     delta^{-1} = WW'. The test admits only w_min > 1e-10 (1 + w_max),
     which bounds the condition number of the difference below 1e10, so an
-    admitted difference needs no warning."""
+    admitted difference needs no warning. A canonical A or f that overflows
+    is refused with the difference's own error."""
     mm = validate_minimax(mm, check_difference=False)
     g = mm.f2 - mm.f1
     W, A = univariate.whitened(mm.A2 - mm.A1, mm.A1, **_DIFFERENCE)
+    A = 0.5 * (A + A.T)
     offset = W @ (W.T @ g)                              # delta^{-1} g
     f = W.T @ (mm.f1 - mm.A1 @ offset)
+    univariate.require_finite(A, f, _DIFFERENCE["what"], _DIFFERENCE["error"])
     d = mm.d2 - mm.d1 - 0.5 * float(g @ offset)
     shift = 0.5 * float(offset @ mm.A1 @ offset) - float(mm.f1 @ offset) + mm.d1
-    return CanonicalForm(A=0.5 * (A + A.T), f=f, d=d, beta=mm.beta,
+    return CanonicalForm(A=A, f=f, d=d, beta=mm.beta,
                          basis=W, offset=offset, value_shift=shift)
 
 
 def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
-    """Specialize a validated instance with r = 0, p = 1 and positive
-    definite log-sum-exp weight (identity after whitening)."""
+    """Specialize a validated instance with r = 0, p = 1, a positive
+    definite log-sum-exp weight (identity after whitening) and a finite
+    whitened A and f; raises :class:`ShapeMismatchError` otherwise."""
     if inst.p != 1 or inst.r != 0:
         raise ShapeMismatchError("smoothed-minimax specialization needs p=1, r=0",
                                  p=inst.p, r=inst.r)
     term = inst.lse_terms[0]
     W, A = univariate.whitened(term.Q, inst.A, "log-sum-exp weight")
-    return CanonicalForm(A=A, f=W.T @ inst.f, d=term.d, beta=inst.beta, basis=W,
+    f = W.T @ inst.f
+    univariate.require_finite(A, f, "log-sum-exp weight")
+    return CanonicalForm(A=A, f=f, d=term.d, beta=inst.beta, basis=W,
                          offset=np.zeros(inst.n), value_shift=0.0)
 
 
@@ -227,7 +233,7 @@ def _solve_canonical(can: CanonicalForm) -> SolveReport:
         pairs.append(replace(pair, x=can.to_original(pair.x),
                              primal_value=pair.primal_value + can.value_shift,
                              dual_value=pair.dual_value + can.value_shift))
-    pairs.sort(key=lambda p: (p.dual_value, float(p.zeta.tau[0])))
+    pairs = _sorted_pairs(pairs)
     residual = max((p.residual for p in pairs), default=0.0)
     return SolveReport(critical_pairs=pairs, existence_verdict=verdict,
                        iterations=len(roots), residual_norm=residual,

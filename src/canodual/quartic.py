@@ -83,13 +83,16 @@ class QuarticInstance:
     @staticmethod
     def from_problem(inst: ProblemInstance) -> "QuarticInstance":
         """Specialize a validated instance with p = 0, r = 1, B positive
-        definite; raises :class:`ShapeMismatchError` otherwise."""
+        definite and a finite whitened A and f; raises
+        :class:`ShapeMismatchError` otherwise."""
         if inst.p != 0 or inst.r != 1:
             raise ShapeMismatchError("quartic specialization needs p=0, r=1",
                                      p=inst.p, r=inst.r)
         term = inst.quartic_terms[0]
         W, A = univariate.whitened(term.B, inst.A, "quartic weight")
-        return QuarticInstance(A=A, f=W.T @ inst.f, alpha=term.alpha, c=term.c, basis=W)
+        f = W.T @ inst.f
+        univariate.require_finite(A, f, "quartic weight")
+        return QuarticInstance(A=A, f=f, alpha=term.alpha, c=term.c, basis=W)
 
 
 def secular_derivative(sd: SpectralData, alpha: float, c: float,

@@ -73,7 +73,7 @@ import numpy as np
 from . import dual as _dual
 from . import primal as _primal
 from .dual import BOUNDARY_MARGIN, GRAD_TOL
-from .errors import HardCaseError, NotCriticalError
+from .errors import DomainError, HardCaseError, NotCriticalError, SingularMatrixError
 from .model import (
     Classification,
     CriticalPair,
@@ -533,12 +533,12 @@ def _definiteness_label(eigs: np.ndarray, tol: float) -> Classification:
 
 def _factor(inst: ProblemInstance, zeta: DualPoint,
             factor: Optional[_dual.ShiftedHessian] = None) -> Optional[_dual.ShiftedHessian]:
-    """The factorisation of G(zeta) (``factor``, else assembled) when tau is
-    in the open simplex and G is nonsingular, else None."""
-    if not zeta.tau_interior():
+    """The factorisation of G(zeta) (``factor``, else assembled) where the
+    dual's derivatives are defined (see :func:`dual._defined_at`), else None."""
+    try:
+        return _dual._defined_at(inst, zeta, factor, "derivatives")
+    except (DomainError, SingularMatrixError):
         return None
-    G = factor if factor is not None else _dual.assemble(inst, zeta)
-    return None if G.is_singular else G
 
 
 def triality_classify(inst: ProblemInstance, pair: CriticalPair,

@@ -380,6 +380,15 @@ def whitened(M: np.ndarray, A: np.ndarray, what: str, rtol: float = 1e-12,
     return W, (W.T @ A) @ W
 
 
+def require_finite(A: np.ndarray, f: np.ndarray, what: str,
+                   error: type = ShapeMismatchError) -> None:
+    """Raise ``error`` when the whitened A or f has overflowed: an admitted
+    weight can still have eigenvalues small enough that W'AW or W'f leaves
+    the floats, and the spectrum of a non-finite A decides nothing."""
+    if not (np.isfinite(A).all() and np.isfinite(f).all()):
+        raise error(f"whitening by the {what} overflows A or f")
+
+
 def _whitening(M: np.ndarray, what: str, rtol: float, error: type):
     """(W, the diagonal of W when M is diagonal, else None); see :func:`whiten`."""
     d = np.diagonal(M)

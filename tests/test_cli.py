@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from canodual import fixtures
+from canodual import errors, fixtures
 from canodual.cli import main
 from canodual.errors import HardCaseError
 from canodual.minimax import smooth_and_canonicalize
@@ -161,6 +161,29 @@ class TestCheckExistence:
         assert "error [SHAPE_MISMATCH]: quartic weight must be positive definite" in err
         assert "smoothed-minimax" not in err
 
+    @pytest.mark.parametrize("term", [
+        {"quartic": [{"B": [[1e-11, 0], [0, 1]], "c": -1, "alpha": 1}]},
+        {"lse": [{"Q": [[1e-11, 0], [0, 1]], "d": 0}]}], ids=["quartic", "lse"])
+    def test_an_overflowing_whitening_is_input_error(self, term, tmp_path, capsys):
+        # an admitted weight whose whitening takes A past the floats: the
+        # spectrum of the non-finite A would give a verdict from NaN
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"n": 2, "A": [[1e300, 0], [0, 1]], "f": [1, 1],
+                                    "beta": 1, **term}))
+        # the general solver meets the same overflow on its way to a verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check-existence", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert "error [SHAPE_MISMATCH]: whitening by the" in captured.err
+            assert "overflows A or f" in captured.err
+            assert captured.out == ""
+            # --specialize falls back to the general solver, as for any
+            # weight the fast paths do not admit
+            code = main(["solve", str(path), "--json"])
+            general = capsys.readouterr().out
+            assert main(["solve", str(path), "--specialize", "--json"]) == code
+            assert capsys.readouterr().out == general
+
 
 class TestReproduce:
     @pytest.mark.parametrize("example", [1, 2, 3])
@@ -258,6 +281,37 @@ def test_nonpositive_starts_is_input_error(command, starts, ex1_path, capsys):
     captured = capsys.readouterr()
     assert "error: num_starts and max_iter must be >= 1" in captured.err
     assert captured.out == ""
+
+
+METHOD_LIMITS = {errors.HardCaseError, errors.NoDualCriticalPointError,
+                 errors.UnboundedError}
+ERROR_CLASSES = sorted((cls for cls in vars(errors).values()
+                        if isinstance(cls, type) and issubclass(cls, errors.CanodualError)),
+                       key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_maps_to_its_exit_status(cls, ex1_path, monkeypatch, capsys):
+    # only the method's limits exit 2; every other library error is input
+    # error 1, printed with its code by every command
+    status = 2 if cls in METHOD_LIMITS else 1
+    assert cls.exit_status == status
+
+    def fail(*args, **kwargs):
+        raise cls("stop")
+    monkeypatch.setattr("canodual.cli.reproduce_example", fail)
+    monkeypatch.setattr("canodual.cli.solve_global", fail)
+    assert main(["reproduce", "1"]) == status
+    assert capsys.readouterr().err == f"error [{cls.code}]: stop\n"
+    # solve reports a limit of the method as its status, not as an error
+    assert main(["solve", ex1_path, "--json"]) == status
+    captured = capsys.readouterr()
+    if status == 2:
+        assert json.loads(captured.out)["status"] == cls.code
+        assert captured.err == ""
+    else:
+        assert captured.err == f"error [{cls.code}]: stop\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["solve", "check-existence", "oracle-compare"])

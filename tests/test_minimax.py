@@ -87,6 +87,16 @@ class TestCanonicalize:
             out = validate_minimax(mm)
         assert np.array_equal(out.A1, A1) and np.array_equal(out.A2, A2)
 
+    def test_an_overflowing_whitening_is_refused(self):
+        # the difference is admitted (1e-9 > 1e-10 (1 + 1)), but whitening
+        # scales the first coordinate by 10^4.5, which takes f past the floats
+        mm = MinimaxInstance(A1=np.eye(2), A2=np.eye(2) + np.diag([1e-9, 1.0]),
+                             f1=np.array([1e305, 1.0]), f2=np.array([1e305, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(
+                NotPositiveDefiniteError,
+                match="whitening by the branch difference A2 - A1 overflows"):
+            smooth_and_canonicalize(mm)
+
     @pytest.mark.parametrize("w_min, admitted", [(1.002e-7, True), (1.0e-7, False)])
     def test_conditioning_at_the_definiteness_threshold(self, w_min, admitted):
         # w_max = 1e3 puts the threshold 1e-10 (1 + w_max) at 1.001e-7: just
@@ -330,6 +340,19 @@ class TestDiagonalDifference:
 
 
 class TestWhitenedProblemPath:
+    @pytest.mark.parametrize("A, f", [([[1e300, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+                                      (np.eye(2), [1e304, 1.0])], ids=["A", "f"])
+    def test_an_overflowing_whitening_is_refused(self, A, f):
+        # the weight is admitted (1e-11 > 1e-12 (1 + 1)), but whitening scales
+        # the first coordinate by 10^5.5, which takes A or f past the floats
+        from canodual.errors import ShapeMismatchError
+        from canodual.model import LseTerm, ProblemInstance, validate
+        inst = validate(ProblemInstance(
+            A=A, f=f, lse_terms=(LseTerm(Q=np.diag([1e-11, 1.0]), d=0.0),), beta=1.0))
+        with np.errstate(over="ignore"), pytest.raises(
+                ShapeMismatchError, match="whitening by the log-sum-exp weight overflows"):
+            canonical_from_problem(inst)
+
     def test_general_lse_weight(self, rng):
         # p = 1 instance with a non-identity positive definite weight
         from canodual.model import LseTerm, ProblemInstance, validate

@@ -191,3 +191,14 @@ class TestSolve:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             QuarticInstance.from_problem(fixtures.example1())
+
+    @pytest.mark.parametrize("A, f", [([[1e300, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+                                      (np.eye(2), [1e304, 1.0])], ids=["A", "f"])
+    def test_an_overflowing_whitening_is_refused(self, A, f):
+        # the weight is admitted (1e-11 > 1e-12 (1 + 1)), but whitening scales
+        # the first coordinate by 10^5.5, which takes A or f past the floats
+        inst = validate(ProblemInstance(A=A, f=f, quartic_terms=(
+            QuarticTerm(B=np.diag([1e-11, 1.0]), c=-1.0, alpha=1.0),)))
+        with np.errstate(over="ignore"), pytest.raises(
+                ShapeMismatchError, match="whitening by the quartic weight overflows"):
+            QuarticInstance.from_problem(inst)
