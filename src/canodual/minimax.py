@@ -93,10 +93,11 @@ class MinimaxInstance:
         return hi + np.log1p(np.exp(self.beta * (lo - hi))) / self.beta
 
 
-def validate_minimax(mm: MinimaxInstance, check_difference: bool = True) -> MinimaxInstance:
-    """The instance with symmetrized curvatures, or an input error.
-    ``check_difference=False`` leaves the test that A2 - A1 is positive
-    definite to a caller that makes it on its own Cholesky factorisation."""
+def validate_minimax(mm: MinimaxInstance) -> MinimaxInstance:
+    """The instance with symmetrized curvatures, or an input error: checks
+    the shapes, symmetry and finiteness of the data and the sign of beta.
+    That A2 - A1 is positive definite is tested where it is whitened, by
+    :func:`smooth_and_canonicalize`."""
     n = mm.n
     A1 = _symmetrized("A1", mm.A1, n)
     A2 = _symmetrized("A2", mm.A2, n)
@@ -106,8 +107,6 @@ def validate_minimax(mm: MinimaxInstance, check_difference: bool = True) -> Mini
         raise NonPositiveParameterError("beta must be positive", beta=mm.beta)
     if not all(np.all(np.isfinite(v)) for v in (mm.f1, mm.f2, [mm.d1, mm.d2])):
         raise ShapeMismatchError("non-finite data")
-    if check_difference:
-        univariate.whiten(A2 - A1, **_DIFFERENCE)
     return MinimaxInstance(A1=A1, A2=A2, f1=mm.f1, f2=mm.f2,
                            d1=float(mm.d1), d2=float(mm.d2), beta=float(mm.beta))
 
@@ -123,7 +122,7 @@ class CanonicalForm:
     """Whitened smoothed problem with the affine transform back to the
     original coordinates: x = basis @ y + offset, original value =
     canonical value + value_shift. ``basis`` is the W of
-    :func:`univariate.whiten` for the whitened weight (A2 - A1, or the
+    :func:`univariate.whitened` for the whitened weight (A2 - A1, or the
     log-sum-exp weight): diag(d^{-1/2}) for a diagonal weight, which is
     scaled with no factorisation, else L^{-T} for its Cholesky factor LL',
     a rotation of the symmetric root's coordinates, with the same spectrum
@@ -163,7 +162,7 @@ def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     which bounds the condition number of the difference below 1e10, so an
     admitted difference needs no warning. A canonical A or f that overflows
     is refused with the difference's own error."""
-    mm = validate_minimax(mm, check_difference=False)
+    mm = validate_minimax(mm)
     g = mm.f2 - mm.f1
     W, A = univariate.whitened(mm.A2 - mm.A1, mm.A1, **_DIFFERENCE)
     A = 0.5 * (A + A.T)
@@ -193,11 +192,6 @@ def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
 
 # ---------------------------------------------------------------------------
 # univariate dual
-
-def dual_value(sd: SpectralData, d: float, beta: float, tau: float) -> float:
-    """Univariate dual on (max(0, -lambda_1), 1)."""
-    return float(univariate.value(sd, univariate.entropy(d, beta), tau))
-
 
 def dual_derivative(sd: SpectralData, d: float, beta: float, tau: float) -> float:
     return float(univariate.derivative(sd, univariate.entropy(d, beta), tau))

@@ -253,7 +253,8 @@ def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
 
     When sum(B) is positive definite, G = M + s sum(B) is positive definite
     for a large enough s, whatever the signs of the single B_i, so the
-    first try is that lift with every sigma_i = s; then sampled starts."""
+    first try is that lift with every sigma_i = s, unless s overflows; then
+    sampled starts."""
     tau0 = np.full(inst.p, 0.5 / max(inst.p, 1))[:inst.p]
     if inst.r:
         wB = np.linalg.eigvalsh(inst.B_stack.sum(axis=0))
@@ -261,9 +262,9 @@ def _interior_start(inst: ProblemInstance, cfg: SolverConfig,
             M = inst.curvature(tau0, np.zeros(inst.r))
             ell = float(np.linalg.eigvalsh(M)[0])
             scale = 1.0 + float(np.max(np.abs(inst.A)))
-            s = max(0.0, (-ell + 0.05 * scale + 0.5)) / wB[0]
+            s = max(0.0, (-ell + 0.05 * scale + 0.5)) / float(wB[0])  # inf on overflow
             z = np.concatenate([tau0, np.full(inst.r, s)])
-            pts = _positive_point(inst, z)
+            pts = _positive_point(inst, z) if np.isfinite(s) else None
             if pts is not None:
                 return z, pts
     # one start at a time: the first one usually succeeds
@@ -298,16 +299,19 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _dual.Points,
     tried one row at a time: G's factorisation is most of a trial's cost at
     large n, and the first trial is usually accepted.
 
-    Returns (z, pts, iterations, converged) at the last accepted point.
+    Returns (z, pts, iterations, converged) at the last accepted point; an
+    ascent whose merit 1/2 ||g||^2 is not finite stops there unconverged.
     """
     for it in range(1, cfg.max_iter + 1):
         if float(np.max(np.abs(pts.grad[0]))) <= GRAD_TOL:
             return z, pts, it, True
+        merit = _half_sq_norms(pts.grad)[0]
+        if not np.isfinite(merit):
+            return z, pts, it, False
         step, flat = _directions(inst, z[None, :inst.p], pts)
         if flat[0]:
             return z, pts, it, False
         t = 1.0
-        merit = _half_sq_norms(pts.grad)[0]
         while t > _STEP_FLOOR:
             trial = z + t * step[0]
             trial_pts = _positive_point(inst, trial)
@@ -340,8 +344,10 @@ def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _dual.Points):
 
 
 def _half_sq_norms(g: np.ndarray) -> np.ndarray:
-    """1/2 g'g per row, rounded as the 1-D ``g @ g`` of one point is."""
-    return 0.5 * (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    """1/2 g'g per row, rounded as the 1-D ``g @ g`` of one point is; inf,
+    with no warning, where it overflows."""
+    with np.errstate(over="ignore"):
+        return 0.5 * (g[:, None, :] @ g[:, :, None])[:, 0, 0]
 
 
 # The line-search batch sizing of the lockstep searches: a start's first
@@ -641,9 +647,10 @@ def solve_global(inst: ProblemInstance,
     """Certified global minimization via dual ascent in the positive region.
 
     Raises :class:`HardCaseError` when no interior starting point can be
-    found or the ascent stalls on the region boundary (tau on the simplex
-    edge, or G singular) without reaching a critical point; the known remedy
-    is a perturbation of the load, which this solver does not attempt. The
+    found, when the ascent's merit 1/2 ||g||^2 overflows, or when the ascent
+    stalls on the region boundary (tau on the simplex edge, or G singular)
+    without reaching a critical point; the known remedy is a perturbation
+    of the load, which this solver does not attempt. The
     stall's context adds ``tau_min``, the smallest of tau and the simplex
     slack, when p > 0. The certificate is weak duality,
     Pi(x) >= Pi^d(zeta) on the positive-definite region, which holds for
@@ -660,6 +667,9 @@ def solve_global(inst: ProblemInstance,
                        grad_inf=float(np.max(np.abs(pts.grad[0]))), iterations=iters)
         if inst.p:
             context["tau_min"] = float(min(z[:inst.p].min(), 1.0 - z[:inst.p].sum()))
+        if not np.isfinite(_half_sq_norms(pts.grad)[0]):
+            raise HardCaseError("dual ascent overflowed: the merit 1/2 |g|^2 of its "
+                                "gradient is not finite", **context)
         raise HardCaseError(
             "dual ascent stalled at the boundary of the positive-definite "
             "region; no interior critical point", **context)

@@ -1,6 +1,6 @@
 """Univariate spectral dual shared by the two fast paths.
 
-After whitening the measure weight to the identity (:func:`whiten`: a
+After whitening the measure weight to the identity (:func:`whitened`: a
 diagonal weight is scaled, any other one goes through its Cholesky factor)
 and diagonalising A = U diag(lambda) U' with f_hat = U'f, the canonical dual
 of a problem with one measure term is the univariate function
@@ -21,7 +21,7 @@ spectral data decides up front whether it does.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,16 +88,12 @@ def _shifted(sd: SpectralData, conj: Conjugate, s):
         s = float(s)
         first = last = s
         shifted = sd.lambdas + s
-        gap = np.abs(shifted).min()
     else:
         first, last = s.min(), s.max()
         shifted = np.add.outer(sd.lambdas, s)
-        k = np.searchsorted(sd.lambdas, -s)      # sorted: the nearest bracket -s
-        gap = np.minimum(np.abs(sd.lambdas[np.maximum(k - 1, 0)] + s),
-                         np.abs(sd.lambdas[np.minimum(k, sd.lambdas.size - 1)] + s)).min()
     if conj.barrier and not (conj.lo < first and last < conj.hi):
         raise DomainError("outside the open domain of the conjugate", s=s)
-    if gap <= POLE_TOL:
+    if np.abs(shifted).min() <= POLE_TOL:
         raise PoleError("at a pole of the spectral dual", s=s)
     return s, shifted
 
@@ -203,40 +199,6 @@ def _approach(fn, end: float, step: float, direction: float, floor: float):
     return None
 
 
-def decreasing_root(fn, lo: float, hi: float, step: float, tol: float,
-                    fprime=None) -> Optional[tuple[float, int]]:
-    """Root of fn, strictly decreasing on (lo, hi); hi may be inf.
-
-    Both ends are approached by shrinking offsets (:func:`_approach`), so
-    roots hugging an end more closely than the last offset are not
-    resolved: REACH max(1, |end|), except that the left end of a finite
-    interval is followed down to REACH_FINITE_LEFT (hi - lo). An infinite
-    right end is approached by doubling the distance from lo. Returns
-    (root, iterations), or None when no bracket is found.
-    """
-    finite = bool(np.isfinite(hi))
-    left = _approach(fn, lo, step, 1.0, REACH_FINITE_LEFT * (hi - lo) if finite
-                     else REACH * max(1.0, abs(lo)))
-    if left is None:
-        return None
-    a, fa = left
-    b = None
-    if finite:
-        right = _approach(fn, hi, min(step, 0.5 * (hi - a)), -1.0, REACH * max(1.0, abs(hi)))
-        b = None if right is None else right[0]
-    else:
-        t = a + step
-        for _ in range(200):
-            if fn(t) <= 0.0:
-                b = t
-                break
-            t = lo + 2.0 * (t - lo)
-    if b is None:
-        return None
-    root, _, iters = refine(fn, a, b, fa, tol, MAX_ITER, fprime=fprime)
-    return root, iters
-
-
 def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
              deriv, second=None) -> tuple[float, int]:
     """Maximiser of D over the positive region and the iterations spent.
@@ -248,6 +210,13 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
     :class:`UnboundedError` when the positive region is empty and
     :class:`NoDualCriticalPointError` when it holds no critical point (a
     relatively hard instance).
+
+    D' is strictly decreasing on the positive region (lo, hi), and its root
+    is bracketed by approaching both ends with shrinking offsets
+    (:func:`_approach`), so a root hugging an end more closely than the
+    last offset is not resolved: REACH max(1, |end|), except that the left
+    end of a finite interval is followed down to REACH_FINITE_LEFT (hi - lo).
+    An infinite right end is approached by doubling the distance from lo.
     """
     lam1 = float(sd.lambdas[0])
     if verdict == ExistenceVerdict.UNBOUNDED:
@@ -257,23 +226,38 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
         raise NoDualCriticalPointError(
             "no dual critical point in the positive-definite region "
             "(relatively hard instance)")
-    lo = max(-lam1, conj.lo)
-    scale = 1.0 + abs(lam1) + abs(conj.lo)
+    lo, hi = max(-lam1, conj.lo), conj.hi
     if conj.lo > -lam1 and not conj.barrier and deriv(lo) <= 0.0:
         return lo, 0                      # maximum attained at the closed end
     # a bounded domain is stepped by its width, with an absolute stopping
     # floor; an unbounded one scales both by the data
-    if np.isfinite(conj.hi):
-        step, floor = 0.25 * (conj.hi - lo), 1e-13
+    if np.isfinite(hi):
+        step, floor, reach = 0.25 * (hi - lo), 1e-13, REACH_FINITE_LEFT * (hi - lo)
+
+        def right_end(a):
+            found = _approach(deriv, hi, min(step, 0.5 * (hi - a)), -1.0,
+                              REACH * max(1.0, abs(hi)))
+            return None if found is None else found[0]
     else:
-        step, floor = max(0.1 * scale, 1.0), 1e-14 * scale
-    found = decreasing_root(deriv, lo, conj.hi, step, tol=max(GRAD_TOL, floor),
-                            fprime=second)
-    if found is None:
+        scale = 1.0 + abs(lam1) + abs(conj.lo)
+        step, floor, reach = max(0.1 * scale, 1.0), 1e-14 * scale, REACH * max(1.0, abs(lo))
+
+        def right_end(a):
+            t = a + step
+            for _ in range(200):
+                if deriv(t) <= 0.0:
+                    return t
+                t = lo + 2.0 * (t - lo)
+            return None
+    left = _approach(deriv, lo, step, 1.0, reach)
+    b = None if left is None else right_end(left[0])
+    if b is None:
         raise NoDualCriticalPointError(
             "existence predicted a positive-region critical point but "
             "bracketing found none", lower=lo)
-    return found
+    root, _, iters = refine(deriv, left[0], b, left[1], max(GRAD_TOL, floor), MAX_ITER,
+                            fprime=second)
+    return root, iters
 
 
 def _secular_terms(sd: SpectralData, conj: Conjugate, s: np.ndarray) -> np.ndarray:
@@ -346,16 +330,18 @@ def critical_points(sd: SpectralData, conj: Conjugate) -> list[float]:
 # ---------------------------------------------------------------------------
 # whitening
 
-def whiten(M: np.ndarray, what: str, rtol: float = 1e-12,
-           error: type = ShapeMismatchError) -> np.ndarray:
-    """W with W'MW = I for a positive definite weight M; raises ``error``
-    (with ``min_eig``) unless the eigenvalues of M have
+def whitened(M: np.ndarray, A: np.ndarray, what: str, rtol: float = 1e-12,
+             error: type = ShapeMismatchError) -> tuple[np.ndarray, np.ndarray]:
+    """(W, W'AW) for a W with W'MW = I, for a positive definite weight M;
+    raises ``error`` (with ``min_eig``) unless the eigenvalues of M have
     w_min > rtol (1 + |w_max|).
 
     A diagonal M (every off-diagonal entry exactly zero) is scaled, with no
     factorisation: its eigenvalues are its diagonal d, which decides the
     test exactly, and W = diag(d^{-1/2}) is bit for bit the L^{-T} of the
-    Cholesky route, since the factor of a diagonal M is diag(sqrt(d)).
+    Cholesky route, since the factor of a diagonal M is diag(sqrt(d)). It
+    scales the rows and columns of A in O(n^2), with the rounding of the
+    dense product (W'A)W: each of its sums has one nonzero term.
 
     Any other M is whitened by W = L^{-T} from its Cholesky factor M = LL'.
     The factor decides the test without eigenvalues unless M is badly
@@ -366,14 +352,6 @@ def whiten(M: np.ndarray, what: str, rtol: float = 1e-12,
     fails, which needs w_min <= 2 n^2 rtol max(1, w_max), does ``eigvalsh``
     decide.
     """
-    return _whitening(M, what, rtol, error)[0]
-
-
-def whitened(M: np.ndarray, A: np.ndarray, what: str, rtol: float = 1e-12,
-             error: type = ShapeMismatchError) -> tuple[np.ndarray, np.ndarray]:
-    """(W, W'AW) for the W of :func:`whiten`. A diagonal W scales the rows
-    and columns of A in O(n^2), with the rounding of the dense product
-    (W'A)W: each of its sums has one nonzero term."""
     W, scale = _whitening(M, what, rtol, error)
     if scale is not None:
         return W, (scale[:, None] * A) * scale
@@ -390,7 +368,7 @@ def require_finite(A: np.ndarray, f: np.ndarray, what: str,
 
 
 def _whitening(M: np.ndarray, what: str, rtol: float, error: type):
-    """(W, the diagonal of W when M is diagonal, else None); see :func:`whiten`."""
+    """(W, the diagonal of W when M is diagonal, else None); see :func:`whitened`."""
     d = np.diagonal(M)
     if np.count_nonzero(M) == np.count_nonzero(d):
         if not d.min() > rtol * (1.0 + abs(d.max())):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestSolve:
         out = capsys.readouterr().out
         assert code == 0
         assert "GLOBAL_MIN" in out and "gap" in out
+
+    def test_an_overflowing_ascent_is_a_method_limit(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "n": 2, "A": [[1e300, 0], [0, 1]], "f": [1, 1], "beta": 1,
+            "quartic": [{"B": [[1e-11, 0], [0, 1]], "c": -1, "alpha": 1}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "status: NO_SA_PLUS_CRITICAL_POINT" in out
+        assert "dual ascent overflowed" in out
 
 
 class TestCheckExistence:

@@ -17,7 +17,6 @@ from canodual.minimax import (
     beta_sweep,
     canonical_from_problem,
     dual_derivative,
-    dual_value,
     existence_check,
     smooth_and_canonicalize,
     solve,
@@ -72,7 +71,7 @@ class TestCanonicalize:
         # negative definite, and positive but below the relative threshold 1e-10
         for A2 in (-2.0 * np.eye(2), 2.0 * np.eye(2) + np.diag([1.0, 1e-10])):
             mm = MinimaxInstance(A1=2.0 * np.eye(2), A2=A2, f1=np.zeros(2), f2=np.zeros(2))
-            for step in (validate_minimax, smooth_and_canonicalize):
+            for step in (smooth_and_canonicalize, solve):
                 with pytest.raises(NotPositiveDefiniteError):
                     step(mm)
 
@@ -143,19 +142,21 @@ class TestUnivariateDual:
 
     def test_benchmark_values(self):
         can, sd = self._ex3_sd()
-        v1 = dual_value(sd, can.d, can.beta, 0.749318) + can.value_shift
+        conj = univariate.entropy(can.d, can.beta)
+        v1 = univariate.value(sd, conj, 0.749318) + can.value_shift
         assert v1 == pytest.approx(0.005627, abs=1e-5)
-        v2 = dual_value(sd, can.d, can.beta, 0.249308) + can.value_shift
+        v2 = univariate.value(sd, conj, 0.249308) + can.value_shift
         assert v2 == pytest.approx(2.00562, abs=1e-4)
 
     def test_domain_error(self):
         can, sd = self._ex3_sd()
+        conj = univariate.entropy(can.d, can.beta)
         with pytest.raises(DomainError):
-            dual_value(sd, can.d, can.beta, 0.5)  # spectrum pole
+            univariate.value(sd, conj, 0.5)  # spectrum pole
         with pytest.raises(DomainError):
-            dual_value(sd, can.d, can.beta, 1.0)
+            univariate.value(sd, conj, 1.0)
         with pytest.raises(DomainError):
-            dual_value(sd, can.d, can.beta, -0.1)
+            univariate.value(sd, conj, -0.1)
 
     def test_entropy_only_maximizer_at_half(self):
         sd = SpectralData.from_matrix(np.diag([1.0, 2.0]), np.zeros(2))
@@ -321,7 +322,7 @@ class TestDiagonalDifference:
     def test_rejected_with_the_dense_error(self, rng):
         mm = _diagonal_difference_instance(rng, 4, [1.0, 2.0, -0.5, 1.0])
         min_eig = np.linalg.eigvalsh(mm.A2 - mm.A1)[0]
-        for step in (validate_minimax, smooth_and_canonicalize, solve):
+        for step in (smooth_and_canonicalize, solve):
             with pytest.raises(NotPositiveDefiniteError,
                                match="branch difference A2 - A1 must be positive definite") as err:
                 step(mm)

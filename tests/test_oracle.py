@@ -13,6 +13,7 @@ from canodual.oracle import (
     grid_global_min,
 )
 from canodual.primal import eval_primal, grad_primal
+from canodual.solver import solve_global
 
 from conftest import rand_instance
 
@@ -65,6 +66,22 @@ class TestGrid:
         x, v = grid_global_min(inst, (-6.0, 6.0), 601)
         assert x[0] == 6.0
         assert v == pytest.approx(eval_primal(inst, x), abs=1e-9)
+
+    def test_polish_reaches_the_certified_minimum(self):
+        # a criterion-6 draw (seed 1053, draw 1) and an indefinite-weight
+        # draw, on which 50 gradient steps stopped about 7e-8 above the minimum
+        rng = np.random.default_rng(1053)
+        for _ in range(2):
+            draw = rand_instance(rng, n=int(rng.integers(1, 3)), p=int(rng.integers(0, 2)),
+                                 r=1, a_range=(-1.5, 1.5), f_scale=0.4, spd_quartic=True,
+                                 alpha_range=(1.5, 4.0), c_range=(-1.2, 0.4),
+                                 spd_eigs=(0.6, 1.6))
+        indefinite = rand_instance(np.random.default_rng([4, 2, 1, 2, False]), 2, 1, 2,
+                                   spd_quartic=False)
+        for inst in (draw, indefinite):
+            v = solve_global(inst).best.primal_value
+            _, v_grid = grid_global_min(inst, (-6.0, 6.0), 601)
+            assert abs(v_grid - v) <= 1e-9 * (1.0 + abs(v))
 
     def test_polish_improves_on_grid_node(self):
         # a deliberately coarse grid still lands on the right basin floor

@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -130,6 +131,17 @@ class TestSolveGlobal:
             solve_global(inst)
         assert err.value.context["tau_min"] < 1e-20
         assert err.value.context["min_eig"] > 0.0
+
+    def test_overflow_is_not_reported_as_a_stall(self):
+        # the lift's shift overflows and the start's 1/2 |g|^2 is not finite:
+        # no warning escapes, and the error names the overflow
+        inst = validate(ProblemInstance(
+            A=[[1e300, 0.0], [0.0, 1.0]], f=[1.0, 1.0],
+            quartic_terms=(QuarticTerm(B=[[1e-11, 0.0], [0.0, 1.0]], c=-1.0, alpha=1.0),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HardCaseError, match="dual ascent overflowed"):
+                solve_global(inst)
 
     def test_residual_below_tolerance(self):
         rep = solve_global(fixtures.example1())

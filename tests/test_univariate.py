@@ -6,6 +6,7 @@ from canodual.dual import BOUNDARY_MARGIN, GRAD_TOL, eval_dual, grad_dual, hess_
 from canodual.errors import (
     CanodualError,
     DomainError,
+    NoDualCriticalPointError,
     NotPositiveDefiniteError,
     PoleError,
     ShapeMismatchError,
@@ -61,6 +62,26 @@ def test_maximiser_hugging_the_entropy_barrier_is_bracketed():
                                     lse_terms=(LseTerm(Q=np.eye(2), d=-30.63),), beta=1.0))
     tau = float(solve_smoothed(inst).critical_pairs[0].zeta.tau[0])
     assert tau == pytest.approx(1.0 / (1.0 + np.exp(30.63)), rel=1e-9)
+
+
+def test_maximiser_past_the_right_reach_is_not_bracketed():
+    # f = 0, so tau* = 1 / (1 + e^-40): 1 - tau* is about 4e-18, closer to
+    # the right end than the 1e-13 the bracketing reaches
+    inst = validate(ProblemInstance(A=np.diag([1.0, 2.0]), f=np.zeros(2),
+                                    lse_terms=(LseTerm(Q=np.eye(2), d=40.0),), beta=1.0))
+    can = canonical_from_problem(inst)
+    assert (univariate.existence(can.spectral(), univariate.entropy(can.d, can.beta))["verdict"]
+            == ExistenceVerdict.UNCONDITIONAL)
+    with pytest.raises(NoDualCriticalPointError, match="bracketing found none") as err:
+        solve_smoothed(inst)
+    assert err.value.context["lower"] == 0.0
+
+
+def test_maximum_at_the_closed_end_takes_no_iterations():
+    # with f = 0, D'(alpha c) = c - alpha c / alpha = 0: the maximum is at sigma = alpha c
+    report = quartic.solve(QuarticInstance(A=np.eye(2), f=np.zeros(2), alpha=1.0, c=1.0))
+    assert float(report.best.zeta.sigma[0]) == 1.0
+    assert report.iterations == 0
 
 
 def test_one_error_at_a_pole_for_scalar_and_array_points():
@@ -237,7 +258,7 @@ class TestWhiten:
     def test_congruence_gives_the_identity(self, rng, n):
         # 65, 130 and 257 split unevenly and recurse in the triangular inverse
         M = _rotated(rng, rng.uniform(0.3, 2.0, n))
-        W = univariate.whiten(M, "weight")
+        W = univariate.whitened(M, M, "weight")[0]
         assert np.max(np.abs(W.T @ M @ W - np.eye(n))) <= 1e-12
 
     @pytest.mark.parametrize("rtol", [1e-12, 1e-10])
@@ -251,10 +272,10 @@ class TestWhiten:
         assert admitted == (side > 1.0)
         calls = _counting_eigvalsh(monkeypatch)
         if admitted:
-            assert univariate.whiten(M, "weight", rtol=rtol).shape == (11, 11)
+            assert univariate.whitened(M, M, "weight", rtol=rtol)[0].shape == (11, 11)
         else:
             with pytest.raises(ShapeMismatchError) as err:
-                univariate.whiten(M, "weight", rtol=rtol)
+                univariate.whitened(M, M, "weight", rtol=rtol)
             assert err.value.context["min_eig"] == pytest.approx(side * rtol * 1001.0,
                                                                  rel=1e-3)
         assert calls == [11]
@@ -262,7 +283,7 @@ class TestWhiten:
     def test_trace_bound_admits_without_eigenvalues(self, rng, monkeypatch):
         M = _rotated(rng, rng.uniform(0.3, 2.0, 40))
         calls = _counting_eigvalsh(monkeypatch)
-        univariate.whiten(M, "weight", rtol=1e-10)
+        univariate.whitened(M, M, "weight", rtol=1e-10)
         assert calls == []
 
     def test_trace_bound_failing_falls_back_and_admits(self, rng, monkeypatch):
@@ -271,8 +292,8 @@ class TestWhiten:
         M = _rotated(rng, [1e3] * 10 + [1.5e-7])
         assert _admits(M, 1e-10)
         calls = _counting_eigvalsh(monkeypatch)
-        W = univariate.whiten(M, "branch difference", rtol=1e-10,
-                              error=NotPositiveDefiniteError)
+        W = univariate.whitened(M, M, "branch difference", rtol=1e-10,
+                                 error=NotPositiveDefiniteError)[0]
         assert calls == [11]
         assert np.allclose(W.T @ M @ W, np.eye(11), atol=1e-6)
 
@@ -286,7 +307,7 @@ class TestWhiten:
         assert not _admits(M, 1e-12)
         for error in (ShapeMismatchError, NotPositiveDefiniteError):
             with pytest.raises(error, match="weight must be positive definite") as err:
-                univariate.whiten(M, "weight", error=error)
+                univariate.whitened(M, M, "weight", error=error)
             assert err.value.context["min_eig"] == pytest.approx(np.linalg.eigvalsh(M)[0],
                                                                  abs=1e-15)
 
@@ -306,7 +327,7 @@ class TestDiagonalWhitening:
         assert np.array_equal(W, dense)
         assert np.array_equal(W, univariate._lower_inverse(L).T)
         assert np.array_equal(WAW, dense.T @ A @ dense)
-        assert np.array_equal(univariate.whiten(M, "weight"), W)
+        assert np.array_equal(univariate.whitened(M, M, "weight")[0], W)
 
     @pytest.mark.parametrize("rtol", [1e-12, 1e-10])
     @pytest.mark.parametrize("side", [0.98, 1.02])
@@ -319,10 +340,10 @@ class TestDiagonalWhitening:
         assert admitted == (side > 1.0)
         calls = _counting_eigvalsh(monkeypatch)
         if admitted:
-            assert univariate.whiten(M, "weight", rtol=rtol, error=error).shape == (11, 11)
+            assert univariate.whitened(M, M, "weight", rtol=rtol, error=error)[0].shape == (11, 11)
         else:
             with pytest.raises(error, match="weight must be positive definite") as err:
-                univariate.whiten(M, "weight", rtol=rtol, error=error)
+                univariate.whitened(M, M, "weight", rtol=rtol, error=error)
             assert err.value.context["min_eig"] == min_eig
         assert calls == []
 
@@ -332,7 +353,7 @@ class TestDiagonalWhitening:
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         M = np.diag([0.5, 2.0, 4.0])
-        W = univariate.whiten(M, "weight")
+        W = univariate.whitened(M, M, "weight")[0]
         assert np.array_equal(W, np.diag(1.0 / np.sqrt([0.5, 2.0, 4.0])))
 
     def test_one_tiny_off_diagonal_entry_takes_the_cholesky_route(self, monkeypatch):
@@ -345,7 +366,7 @@ class TestDiagonalWhitening:
             return plain(M)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        W = univariate.whiten(M, "weight")
+        W = univariate.whitened(M, M, "weight")[0]
         assert calls == [3]
         assert np.array_equal(W, univariate._lower_inverse(plain(M)).T)
 
