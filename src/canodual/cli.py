@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import minimax, oracle, quartic, univariate
-from .errors import CanodualError, HardCaseError, ShapeMismatchError
+from .errors import CanodualError, ShapeMismatchError
 from .model import (
     Classification,
     ProblemInstance,
@@ -75,16 +75,17 @@ def _print_report(report: SolveReport, status: str, as_json: bool):
         print(f"    x = ({x})  tau = ({tau})  sigma = ({sigma})")
 
 
-def _solve(inst: ProblemInstance, cfg: SolverConfig, specialize: bool) -> SolveReport:
-    """``solve_global``'s report, or with ``specialize`` that of the first
-    univariate fast path whose shape the instance has."""
-    if specialize:
-        for fast_path in (lambda: quartic.solve(quartic.QuarticInstance.from_problem(inst)),
-                          lambda: minimax.solve_smoothed(inst)):
-            try:
-                return fast_path()
-            except ShapeMismatchError:
-                pass  # try the next fast path, then the general solver
+def _solve(inst: ProblemInstance, cfg: SolverConfig) -> SolveReport:
+    """The report of the univariate fast path whose shape the instance has
+    (p = 0, r = 1: quartic; p = 1, r = 0: smoothed minimax), else
+    ``solve_global``'s. A fast path's result or limit is final; a shape or
+    weight it does not admit goes to ``solve_global``."""
+    for fast_path in (lambda: quartic.solve(quartic.QuarticInstance.from_problem(inst)),
+                      lambda: minimax.solve_smoothed(inst)):
+        try:
+            return fast_path()
+        except ShapeMismatchError:
+            pass  # try the next fast path, then the general solver
     return solve_global(inst, cfg)
 
 
@@ -99,18 +100,13 @@ def cmd_solve(args) -> int:
                                for p in report.critical_pairs)
             _print_report(report, "CRITICAL_POINTS_FOUND", args.json)
             return 0 if found_global else 2
-        _print_report(_solve(inst, cfg, args.specialize), "GLOBAL_MIN_FOUND", args.json)
+        _print_report(_solve(inst, cfg), "GLOBAL_MIN_FOUND", args.json)
         return 0
     except CanodualError as exc:
         if exc.exit_status == 1:
             raise
         # a limit of the method is a result: the report carries its status
-        report = SolveReport(notes=[str(exc)])
-        if isinstance(exc, HardCaseError):
-            report.notes.append(
-                "no certified global solution from the dual; a load "
-                "perturbation strategy would be needed for this instance")
-        _print_report(report, exc.code, args.json)
+        _print_report(SolveReport(notes=[str(exc)]), exc.code, args.json)
         return exc.exit_status
 
 
@@ -144,7 +140,7 @@ def cmd_oracle_compare(args) -> int:
         raise _InputError(f"--tol must be finite and >= 0, got {args.tol!r}")
     inst, cfg = _load(args.path), _config(args)
     oracle.check_grid_dimension(inst.n)
-    report = solve_global(inst, cfg)
+    report = _solve(inst, cfg)
     x_star, v_star = oracle.grid_global_min(inst, (-ORACLE_BOX, ORACLE_BOX), resolution=601)
     best = report.best
     dev = abs(best.primal_value - v_star)
@@ -186,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("path")
     p_solve.add_argument("--json", action="store_true",
                          help="machine-readable report")
-    p_solve.add_argument("--specialize", action="store_true",
-                         help="use the univariate fast path when the instance "
-                              "has the single-quartic or smoothed-minimax shape")
     p_solve.add_argument("--all-critical", action="store_true",
                          help="enumerate and classify all dual critical points")
     p_solve.add_argument("--beta", type=float, default=None,

@@ -166,8 +166,9 @@ def smooth_and_canonicalize(mm: MinimaxInstance) -> CanonicalForm:
     g = mm.f2 - mm.f1
     W, A = univariate.whitened(mm.A2 - mm.A1, mm.A1, **_DIFFERENCE)
     A = 0.5 * (A + A.T)
-    offset = W @ (W.T @ g)                              # delta^{-1} g
-    f = W.T @ (mm.f1 - mm.A1 @ offset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = W @ (W.T @ g)                          # delta^{-1} g
+        f = W.T @ (mm.f1 - mm.A1 @ offset)
     univariate.require_finite(A, f, _DIFFERENCE["what"], _DIFFERENCE["error"])
     d = mm.d2 - mm.d1 - 0.5 * float(g @ offset)
     shift = 0.5 * float(offset @ mm.A1 @ offset) - float(mm.f1 @ offset) + mm.d1
@@ -184,7 +185,8 @@ def canonical_from_problem(inst: ProblemInstance) -> CanonicalForm:
                                  p=inst.p, r=inst.r)
     term = inst.lse_terms[0]
     W, A = univariate.whitened(term.Q, inst.A, "log-sum-exp weight")
-    f = W.T @ inst.f
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = W.T @ inst.f
     univariate.require_finite(A, f, "log-sum-exp weight")
     return CanonicalForm(A=A, f=f, d=term.d, beta=inst.beta, basis=W,
                          offset=np.zeros(inst.n), value_shift=0.0)

@@ -17,6 +17,7 @@ from .model import ProblemInstance
 
 MAX_GRID_DIM = 3
 MAX_RESOLUTION = 2001
+POLISH_STEPS = 50
 _CHUNK = 200_000
 
 
@@ -63,15 +64,14 @@ def fd_hessian(fn: Callable[[np.ndarray], float], x: np.ndarray,
     return H
 
 
-def _polish(fn, x0: np.ndarray, v0: float, lo: np.ndarray, hi: np.ndarray,
-            steps: int = 50):
-    """Newton steps with backtracking from the best grid node, each trial
-    clipped to the box [lo, hi], on the finite-difference gradient and
-    Hessian. The Hessian's eigenvalues enter by their absolute values,
-    floored, so every step descends; a trial is accepted only on a
+def _polish(fn, x0: np.ndarray, v0: float, lo: np.ndarray, hi: np.ndarray):
+    """Up to POLISH_STEPS Newton steps with backtracking from the best grid
+    node, each trial clipped to the box [lo, hi], on the finite-difference
+    gradient and Hessian. The Hessian's eigenvalues enter by their absolute
+    values, floored, so every step descends; a trial is accepted only on a
     sufficient decrease, so the value never rises."""
     x, v = np.array(x0, dtype=float), float(v0)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         g = fd_gradient(fn, x, h=1e-6)
         if float(g @ g) <= 1e-24:
             break
@@ -146,9 +146,9 @@ def grid_global_min(inst: ProblemInstance, box: BoxLike,
     return x, v
 
 
-def _random_spd(rng: np.random.Generator, n: int, floor: float = 0.1) -> np.ndarray:
+def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     M = rng.standard_normal((n, n))
-    return M.T @ M + floor * np.eye(n)
+    return M.T @ M + 0.1 * np.eye(n)
 
 
 def definiteness_transfer_check(rng_seed: int, trials: int, r: int, n: int,

@@ -90,7 +90,8 @@ class QuarticInstance:
                                      p=inst.p, r=inst.r)
         term = inst.quartic_terms[0]
         W, A = univariate.whitened(term.B, inst.A, "quartic weight")
-        f = W.T @ inst.f
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = W.T @ inst.f
         univariate.require_finite(A, f, "quartic weight")
         return QuarticInstance(A=A, f=f, alpha=term.alpha, c=term.c, basis=W)
 

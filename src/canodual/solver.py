@@ -151,19 +151,19 @@ def _stratified_uniforms(rng: np.random.Generator, num: int, dims: int) -> np.nd
     return (strata + rng.uniform(0.0, 1.0, (num, dims))) / num
 
 
-def _tau_from_uniforms(u: np.ndarray, margin: float) -> np.ndarray:
+def _tau_from_uniforms(u: np.ndarray) -> np.ndarray:
     """Rows tau (k, p) from the uniforms u (k, p + 1): a flat Dirichlet over
-    (tau, slack) via exponential spacings, floored away from the boundary;
-    the simplex centre for a row of zeros."""
+    (tau, slack) via exponential spacings, kept ``BOUNDARY_MARGIN`` inside
+    the simplex; the simplex centre for a row of zeros."""
     p = u.shape[1] - 1
     w = -np.log1p(-np.clip(u, 0.0, 1.0 - 1e-12))
     total = w.sum(axis=1, keepdims=True)
     tau = np.full((len(u), p), 1.0 / (p + 1))
     np.divide(w[:, :p], total, out=tau, where=total > 0)
-    tau = np.maximum(tau, margin)
+    tau = np.maximum(tau, BOUNDARY_MARGIN)
     total = tau.sum(axis=1)
-    crowded = total >= 1.0 - margin
-    tau[crowded] *= ((1.0 - (p + 1) * margin) / total[crowded])[:, None]
+    crowded = total >= 1.0 - BOUNDARY_MARGIN
+    tau[crowded] *= ((1.0 - (p + 1) * BOUNDARY_MARGIN) / total[crowded])[:, None]
     return tau
 
 
@@ -188,8 +188,7 @@ def _sample_starts(inst: ProblemInstance, cfg: SolverConfig,
     lo, hi = _sigma_box(inst) if inst.r else (np.zeros(0), np.zeros(0))
     u_tau = _stratified_uniforms(rng, cfg.num_starts, inst.p + 1 if inst.p else 0)
     u_sigma = _stratified_uniforms(rng, cfg.num_starts, inst.r)
-    tau = (_tau_from_uniforms(u_tau, BOUNDARY_MARGIN) if inst.p
-           else np.zeros((cfg.num_starts, 0)))
+    tau = _tau_from_uniforms(u_tau) if inst.p else np.zeros((cfg.num_starts, 0))
     sigma = lo + u_sigma * (hi - lo)
     return np.hstack([tau, sigma])
 

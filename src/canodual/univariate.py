@@ -156,17 +156,16 @@ def existence(sd: SpectralData, conj: Conjugate) -> dict:
 # ---------------------------------------------------------------------------
 # root finding
 
-def refine(fn, a: float, b: float, fa: float, tol: float, max_iter: int,
-           fprime=None):
+def refine(fn, a: float, b: float, fa: float, tol: float, fprime=None):
     """Safeguarded Newton/bisection on a bracket [a, b] where fn changes
     sign (fa = fn(a)), for the fast paths' root searches.
 
-    Stops when |fn| <= tol or when the bracket is narrower than
-    1e-16 (1 + |x|). Newton steps that leave the bracket fall back to
-    bisection. Returns (x, fn(x), iterations).
+    Stops when |fn| <= tol, when the bracket is narrower than
+    1e-16 (1 + |x|), or after MAX_ITER iterations. Newton steps that leave
+    the bracket fall back to bisection. Returns (x, fn(x), iterations).
     """
     x = 0.5 * (a + b)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         fx = fn(x)
         if abs(fx) <= tol or (b - a) <= 1e-16 * (1.0 + abs(x)):
             return x, fx, it
@@ -182,7 +181,7 @@ def refine(fn, a: float, b: float, fa: float, tol: float, max_iter: int,
         if nxt is None or not np.isfinite(nxt) or not (a < nxt < b):
             nxt = 0.5 * (a + b)
         x = nxt
-    return x, fn(x), max_iter
+    return x, fn(x), MAX_ITER
 
 
 def _approach(fn, end: float, step: float, direction: float, floor: float):
@@ -255,8 +254,7 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
         raise NoDualCriticalPointError(
             "existence predicted a positive-region critical point but "
             "bracketing found none", lower=lo)
-    root, _, iters = refine(deriv, left[0], b, left[1], max(GRAD_TOL, floor), MAX_ITER,
-                            fprime=second)
+    root, _, iters = refine(deriv, left[0], b, left[1], max(GRAD_TOL, floor), fprime=second)
     return root, iters
 
 
@@ -312,8 +310,7 @@ def critical_points(sd: SpectralData, conj: Conjugate) -> list[float]:
         # S' increases, so S'(v) < 0 makes D'' = S' - V*'' negative throughout
         settled = open_ & ((dS_v < 0.0) | (v - u <= STOP_RTOL * (np.abs(u) + np.abs(v))))
         for i in np.nonzero(settled & (D_u * D_v <= 0.0))[0]:
-            roots.append(refine(deriv, float(u[i]), float(v[i]), float(D_u[i]),
-                                GRAD_TOL, MAX_ITER)[0])
+            roots.append(refine(deriv, float(u[i]), float(v[i]), float(D_u[i]), GRAD_TOL)[0])
         split = open_ & ~settled
         if not split.any():
             break
@@ -353,16 +350,19 @@ def whitened(M: np.ndarray, A: np.ndarray, what: str, rtol: float = 1e-12,
     decide.
     """
     W, scale = _whitening(M, what, rtol, error)
-    if scale is not None:
-        return W, (scale[:, None] * A) * scale
-    return W, (W.T @ A) @ W
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
+        if scale is not None:
+            return W, (scale[:, None] * A) * scale
+        return W, (W.T @ A) @ W
 
 
 def require_finite(A: np.ndarray, f: np.ndarray, what: str,
                    error: type = ShapeMismatchError) -> None:
     """Raise ``error`` when the whitened A or f has overflowed: an admitted
     weight can still have eigenvalues small enough that W'AW or W'f leaves
-    the floats, and the spectrum of a non-finite A decides nothing."""
+    the floats, and the spectrum of a non-finite A decides nothing. This
+    error is the only report of such an overflow: :func:`whitened` and the
+    callers' W'f products overflow without a warning."""
     if not (np.isfinite(A).all() and np.isfinite(f).all()):
         raise error(f"whitening by the {what} overflows A or f")
 

@@ -15,6 +15,7 @@ from canodual.model import (
     serialize_problem,
     validate,
 )
+from canodual.reproduce import reproduce_example
 from canodual.solver import solve_global
 
 from conftest import rand_instance
@@ -44,7 +45,7 @@ def ex3_path(tmp_path):
 
 class TestSolve:
     def test_specialized_quartic_json(self, ex2_path, capsys):
-        code = main(["solve", ex2_path, "--specialize", "--json"])
+        code = main(["solve", ex2_path, "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["status"] == "GLOBAL_MIN_FOUND"
@@ -76,7 +77,18 @@ class TestSolve:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("example, verdict", [
+        ("ex1", "NOT_APPLICABLE"), ("ex2", "EXISTS"), ("ex3", "EXISTS")])
+    def test_the_shape_picks_the_solver(self, example, verdict, request, capsys):
+        # the fast paths report their existence verdict; solve_global has none
+        path = request.getfixturevalue(f"{example}_path")
+        assert main(["solve", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "GLOBAL_MIN_FOUND"
+        assert out["existence_verdict"] == verdict
+
     def test_hard_case_exit_two(self, tmp_path, capsys):
+        # the quartic fast path decides the hard case up front
         inst = validate(ProblemInstance(
             A=np.diag([-2.0, 1.0]), f=[0.0, 0.1],
             quartic_terms=(QuarticTerm(B=np.eye(2), c=-3.0, alpha=1.0),)))
@@ -85,10 +97,26 @@ class TestSolve:
         code = main(["solve", str(path), "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 2
+        assert out["status"] == "NOT_EXISTS"
+        with pytest.raises(HardCaseError):
+            solve_global(inst)
+
+    def test_a_general_shape_stall_exits_two(self, tmp_path, capsys):
+        # the same hard case split into two quartic terms has no fast path:
+        # solve_global's ascent stalls on the boundary of the region
+        half = QuarticTerm(B=np.eye(2), c=-3.0, alpha=0.5)
+        inst = validate(ProblemInstance(
+            A=np.diag([-2.0, 1.0]), f=[0.0, 0.1], quartic_terms=(half, half)))
+        path = tmp_path / "hard2.json"
+        path.write_text(serialize_problem(inst))
+        code = main(["solve", str(path), "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
         assert out["status"] == "NO_SA_PLUS_CRITICAL_POINT"
+        assert "stalled" in out["notes"][0]
 
     def test_beta_override(self, ex3_path, capsys):
-        code = main(["solve", ex3_path, "--specialize", "--beta", "1000", "--json"])
+        code = main(["solve", ex3_path, "--beta", "1000", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["critical_pairs"][0]["tau"][0] == pytest.approx(0.749931, abs=1e-4)
@@ -183,19 +211,18 @@ class TestCheckExistence:
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({"n": 2, "A": [[1e300, 0], [0, 1]], "f": [1, 1],
                                     "beta": 1, **term}))
-        # the general solver meets the same overflow on its way to a verdict
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["check-existence", str(path)]) == 1
-            captured = capsys.readouterr()
-            assert "error [SHAPE_MISMATCH]: whitening by the" in captured.err
-            assert "overflows A or f" in captured.err
-            assert captured.out == ""
-            # --specialize falls back to the general solver, as for any
-            # weight the fast paths do not admit
-            code = main(["solve", str(path), "--json"])
-            general = capsys.readouterr().out
-            assert main(["solve", str(path), "--specialize", "--json"]) == code
-            assert capsys.readouterr().out == general
+        assert main(["check-existence", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error [SHAPE_MISMATCH]: whitening by the" in captured.err
+        assert "overflows A or f" in captured.err
+        assert captured.out == ""
+        # solve goes to the general solver, as for any weight the fast paths
+        # do not admit; its report names the limit and nothing else
+        assert main(["solve", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "status: NO_SA_PLUS_CRITICAL_POINT" in out
+        assert "existence: NOT_APPLICABLE" in out
+        assert "perturbation" not in out
 
 
 class TestReproduce:
@@ -210,6 +237,15 @@ class TestReproduce:
         assert main(["reproduce", "9"]) == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("example", [0, 4, -1])
+    def test_the_library_refuses_an_unknown_id(self, example):
+        with pytest.raises(ValueError, match=f"unknown benchmark id {example}; choose 1, 2 or 3"):
+            reproduce_example(example)
+
+
+def _no_general_solve(*args):
+    raise AssertionError("solve_global ran on a fast-path shape")
+
 
 class TestOracleCompare:
     def test_benchmark1(self, ex1_path, capsys):
@@ -218,7 +254,13 @@ class TestOracleCompare:
         assert code == 0
         assert "difference" in out
 
-    def test_benchmark3(self, ex3_path, capsys):
+    # oracle-compare checks what solve returns: on ex2 and ex3 a fast path
+    def test_benchmark2(self, ex2_path, monkeypatch, capsys):
+        monkeypatch.setattr("canodual.cli.solve_global", _no_general_solve)
+        assert main(["oracle-compare", ex2_path]) == 0
+
+    def test_benchmark3(self, ex3_path, monkeypatch, capsys):
+        monkeypatch.setattr("canodual.cli.solve_global", _no_general_solve)
         assert main(["oracle-compare", ex3_path]) == 0
 
     def test_dimension_guard(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from canodual.errors import (
     DomainError,
     NoDualCriticalPointError,
     NotPositiveDefiniteError,
+    ShapeMismatchError,
     UnboundedError,
 )
 from canodual.minimax import (
@@ -67,6 +68,21 @@ class TestCanonicalize:
             base = 0.5 * float(y @ can.A @ y) - float(can.f @ y) + can.value_shift
             assert mm.branch_values(x)[0] == pytest.approx(base, abs=1e-9)
 
+    @pytest.mark.parametrize("change, fragment", [
+        (dict(f1=np.zeros(3)), "f1/f2 must be n-vectors"),
+        (dict(f2=np.zeros((2, 1))), "f1/f2 must be n-vectors"),
+        (dict(f1=np.array([np.nan, 0.0])), "non-finite data"),
+        (dict(f2=np.array([0.0, np.inf])), "non-finite data"),
+        (dict(d1=np.inf), "non-finite data"),
+        (dict(d2=np.nan), "non-finite data"),
+    ], ids=["f1-length", "f2-shape", "f1", "f2", "d1", "d2"])
+    def test_each_invalid_input_names_its_fault(self, change, fragment):
+        mm = MinimaxInstance(**{**dict(A1=np.zeros((2, 2)), A2=np.eye(2),
+                                       f1=np.zeros(2), f2=np.zeros(2)), **change})
+        with pytest.raises(ShapeMismatchError) as info:
+            validate_minimax(mm)
+        assert fragment in str(info.value)
+
     def test_not_pd_rejected(self):
         # negative definite, and positive but below the relative threshold 1e-10
         for A2 in (-2.0 * np.eye(2), 2.0 * np.eye(2) + np.diag([1.0, 1e-10])):
@@ -91,9 +107,8 @@ class TestCanonicalize:
         # scales the first coordinate by 10^4.5, which takes f past the floats
         mm = MinimaxInstance(A1=np.eye(2), A2=np.eye(2) + np.diag([1e-9, 1.0]),
                              f1=np.array([1e305, 1.0]), f2=np.array([1e305, 1.0]))
-        with np.errstate(over="ignore"), pytest.raises(
-                NotPositiveDefiniteError,
-                match="whitening by the branch difference A2 - A1 overflows"):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="whitening by the branch difference A2 - A1 overflows"):
             smooth_and_canonicalize(mm)
 
     @pytest.mark.parametrize("w_min, admitted", [(1.002e-7, True), (1.0e-7, False)])
@@ -350,8 +365,8 @@ class TestWhitenedProblemPath:
         from canodual.model import LseTerm, ProblemInstance, validate
         inst = validate(ProblemInstance(
             A=A, f=f, lse_terms=(LseTerm(Q=np.diag([1e-11, 1.0]), d=0.0),), beta=1.0))
-        with np.errstate(over="ignore"), pytest.raises(
-                ShapeMismatchError, match="whitening by the log-sum-exp weight overflows"):
+        with pytest.raises(ShapeMismatchError,
+                           match="whitening by the log-sum-exp weight overflows"):
             canonical_from_problem(inst)
 
     def test_general_lse_weight(self, rng):

@@ -101,6 +101,24 @@ class TestValidate:
         with pytest.raises(ValueError):
             inst.A[0, 0] = 3.0
 
+    @pytest.mark.parametrize("raw, fragment", [
+        (ProblemInstance(A=np.zeros((0, 0)), f=np.zeros(0)), "dimension must be positive"),
+        (ProblemInstance(A=np.eye(2), f=[1.0, 2.0, 3.0],
+                         quartic_terms=(QuarticTerm(np.eye(2), -1.0, 1.0),)),
+         "f must be an n-vector"),
+        (ProblemInstance(A=np.eye(2), f=[1.0, 2.0], lse_terms=(LseTerm(np.eye(2), np.nan),)),
+         "non-finite d in lse[0]"),
+        (ProblemInstance(A=np.eye(2), f=[1.0, 2.0],
+                         quartic_terms=(QuarticTerm(np.eye(2), np.inf, 1.0),)),
+         "non-finite c in quartic[0]"),
+        (ProblemInstance(A=np.eye(2), f=[1.0, 2.0], lse_terms=(LseTerm(np.eye(3), 0.0),)),
+         "lse[0].Q must be 2x2"),
+    ], ids=["n", "f", "d", "c", "shape"])
+    def test_each_invalid_input_names_its_fault(self, raw, fragment):
+        with pytest.raises(InvalidModelError) as info:
+            validate(raw)
+        assert fragment in str(info.value)
+
 
 class TestParse:
     def test_quartic_benchmark_file(self):
@@ -143,6 +161,37 @@ class TestParse:
     def test_bad_json_reports_line(self):
         with pytest.raises(ParseError, match="line"):
             parse_problem('{"n": 1,\n  "A": [[1]],,}')
+
+    @pytest.mark.parametrize("change, fragment", [
+        (lambda doc: [doc], "top-level value must be an object"),
+        (lambda doc: {**doc, "n": 0}, "'n' must be a positive integer"),
+        (lambda doc: {**doc, "n": "2"}, "'n' must be a positive integer"),
+        (lambda doc: {**doc, "n": True}, "'n' must be a positive integer"),
+        (lambda doc: {**doc, "n": 1.5}, "'n' must be a positive integer"),
+        (lambda doc: {**doc, "A": [["a", 0], [0, 1]]}, "A: not a numeric matrix"),
+        (lambda doc: {**doc, "f": ["x", 1]}, "'f' is not a numeric vector"),
+        (lambda doc: {**doc, "f": [1, 2, 3]}, "'f' must have length 2"),
+        (lambda doc: {**doc, "lse": [{"Q": [[1, 0], [0, 1]], "d": 0, "c": 1}]},
+         "lse[0] must be an object with fields Q, d"),
+        (lambda doc: {**doc, "lse": [[1, 0]]}, "lse[0] must be an object with fields Q, d"),
+        (lambda doc: {**doc, "quartic": [{"B": [[1, 0], [0, 1]], "c": 0}]},
+         "quartic[0] must be an object with fields B, c, alpha"),
+        (lambda doc: {**doc, "lse": [{"Q": [[1, 0], [0, 1]], "d": "x"}]},
+         "lse[0].d is not a number"),
+        (lambda doc: {**doc, "quartic": [{"B": [[1, 0], [0, 1]], "c": [1], "alpha": 1}]},
+         "quartic[0]: c/alpha must be numbers"),
+        (lambda doc: {**doc, "quartic": [{"B": [[1, 0], [0, 1]], "c": 0, "alpha": None}]},
+         "quartic[0]: c/alpha must be numbers"),
+        (lambda doc: {**doc, "beta": "one"}, "'beta' is not a number"),
+    ], ids=["top-level", "n-zero", "n-string", "n-bool", "n-float", "A", "f-numeric",
+            "f-length", "lse-fields", "lse-not-object", "quartic-fields", "d", "c",
+            "alpha", "beta"])
+    def test_each_unreadable_field_names_its_fault(self, change, fragment):
+        doc = {"n": 2, "A": [[1, 0], [0, 1]], "f": [1, 1], "beta": 1,
+               "quartic": [{"B": [[1, 0], [0, 1]], "c": -1, "alpha": 1}]}
+        with pytest.raises(ParseError) as info:
+            parse_problem(json.dumps(change(doc)))
+        assert fragment in str(info.value)
 
     def test_validation_error_propagates(self):
         text = json.dumps({

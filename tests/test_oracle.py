@@ -7,6 +7,7 @@ from canodual.errors import DimensionTooLargeError
 from canodual.minimax import smooth_and_canonicalize
 from canodual.model import DualPoint, ProblemInstance, QuarticTerm, validate
 from canodual.oracle import (
+    _box_edges,
     definiteness_transfer_check,
     fd_gradient,
     fd_hessian,
@@ -45,6 +46,13 @@ class TestGrid:
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
             grid_global_min(fixtures.example1(), (-1.0, 1.0), 5000)
+
+    @pytest.mark.parametrize("box, n", [([(-1.0, 1.0)], 2), ([(-1.0, 1.0)] * 3, 2),
+                                        ([(-1.0, 1.0)] * 2, 1), ([], 1)],
+                             ids=["1-for-2", "3-for-2", "2-for-1", "0-for-1"])
+    def test_a_box_needs_one_interval_per_coordinate(self, box, n):
+        with pytest.raises(ValueError, match=f"box must give {n} per-coordinate intervals"):
+            _box_edges(box, n)
 
     def test_per_coordinate_box(self):
         can = smooth_and_canonicalize(fixtures.example3())

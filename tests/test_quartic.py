@@ -199,6 +199,5 @@ class TestSolve:
         # the first coordinate by 10^5.5, which takes A or f past the floats
         inst = validate(ProblemInstance(A=A, f=f, quartic_terms=(
             QuarticTerm(B=np.diag([1e-11, 1.0]), c=-1.0, alpha=1.0),)))
-        with np.errstate(over="ignore"), pytest.raises(
-                ShapeMismatchError, match="whitening by the quartic weight overflows"):
+        with pytest.raises(ShapeMismatchError, match="whitening by the quartic weight overflows"):
             QuarticInstance.from_problem(inst)

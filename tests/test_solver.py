@@ -862,7 +862,7 @@ class TestStartSampling:
         crowded[0] = 1.0
         U = np.vstack([rng.uniform(0.0, 1.0, (40, p + 1)), np.zeros(p + 1), crowded,
                        np.ones(p + 1), rng.uniform(0.0, 1e-9, (3, p + 1))])
-        tau = _tau_from_uniforms(U, BOUNDARY_MARGIN)
+        tau = _tau_from_uniforms(U)
         assert tau.shape == (len(U), p)
         for row, u in zip(tau, U):
             assert np.array_equal(row, _tau_one_row(u, BOUNDARY_MARGIN))
@@ -1150,3 +1150,64 @@ class TestOneNewtonSearch:
                 assert a.primal_value == pytest.approx(b.primal_value, rel=1e-9, abs=1e-9)
             found += len(got)
         assert found >= 20
+
+
+class TestDirections:
+    @staticmethod
+    def _points(inst, k=4):
+        """k rows of the positive region of ``inst`` with their evaluation."""
+        cfg = SolverConfig(num_starts=k)
+        z, pts = solver._interior_start(inst, cfg, np.random.default_rng(0))
+        Z = z + np.outer(np.linspace(0.0, 0.3, k), np.r_[np.zeros(inst.p), np.ones(inst.r)])
+        pts = dual.evaluate(inst, Z)
+        assert pts.valid.all() and (pts.w[:, 0] > 0.0).all()
+        return Z, pts
+
+    def test_an_unsolvable_row_steps_along_minus_jg_at_unit_max_norm(self, monkeypatch):
+        """Where the Newton solve gives NaN the step is steepest descent on
+        the merit 1/2 |g|^2, -J g, scaled to unit max-norm; the other rows
+        keep their Newton steps."""
+        inst = fixtures.example1()
+        Z, pts = self._points(inst)
+        newton, _ = solver._directions(inst, Z[:, :inst.p], pts)
+        refused = np.array([True, False, True, False])
+
+        solve_rows = dual.solve_rows
+
+        def partly_singular(M, b):
+            out = solve_rows(M, b)
+            out[refused] = np.nan
+            return out
+        monkeypatch.setattr(dual, "solve_rows", partly_singular)
+        steps, flat = solver._directions(inst, Z[:, :inst.p], pts)
+        assert not flat.any()
+        assert np.array_equal(steps[~refused], newton[~refused])
+        for i in np.nonzero(refused)[0]:
+            J = hess_dual(inst, DualPoint.from_vector(Z[i], inst.p))
+            descent = -J @ pts.grad[i]
+            assert np.allclose(steps[i], descent / np.abs(descent).max(), rtol=1e-9)
+            assert np.abs(steps[i]).max() == pytest.approx(1.0, rel=1e-15)
+
+    def test_a_zero_descent_direction_is_flat(self, monkeypatch):
+        # -J g = 0 where g = 0: the row is flat and its step is zero
+        inst = fixtures.example1()
+        Z, pts = self._points(inst)
+        pts = pts._replace(grad=np.where(np.arange(len(Z))[:, None] == 1, 0.0, pts.grad))
+        monkeypatch.setattr(dual, "solve_rows", lambda M, b: np.full(b.shape, np.nan))
+        steps, flat = solver._directions(inst, Z[:, :inst.p], pts)
+        assert flat.tolist() == [False, True, False, False]
+        assert not steps[1].any() and np.all(np.isfinite(steps))
+
+    def test_the_ascent_stops_on_a_flat_direction(self, monkeypatch):
+        inst = fixtures.example1()
+        cfg = SolverConfig()
+        z, pts = solver._interior_start(inst, cfg, np.random.default_rng(0))
+        calls = []
+
+        def flat(inst, tau, pts):
+            calls.append(len(tau))
+            return np.zeros((1, inst.m)), np.array([True])
+        monkeypatch.setattr(solver, "_directions", flat)
+        got, got_pts, it, converged = solver._newton_ascent(inst, z, pts, cfg)
+        assert (it, converged, calls) == (1, False, [1])
+        assert got is z and got_pts is pts

@@ -84,6 +84,39 @@ def test_maximum_at_the_closed_end_takes_no_iterations():
     assert report.iterations == 0
 
 
+def test_an_unbounded_right_end_is_found_by_doubling():
+    # D'(s) = 5e5 / (1 + s)^2 - s on [0, inf): after the closed-end test at
+    # 0 and the left step to s = 1, the right end doubles its distance from
+    # 0, 2 -> 128, where D' < 0
+    sd = SpectralData.from_matrix(np.eye(1), [1000.0])
+    conj = univariate.quartic(1.0, 0.0)
+    seen = []
+
+    def deriv(s):
+        seen.append(s)
+        return univariate.derivative(sd, conj, s)
+    root, _ = univariate.maximise(sd, conj, ExistenceVerdict.UNCONDITIONAL, deriv)
+    assert seen[:9] == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+    assert deriv(64.0) > 0.0 > deriv(128.0)
+    assert root == pytest.approx(78.705, abs=1e-3)
+    assert abs(univariate.derivative(sd, conj, root)) <= GRAD_TOL
+    report = quartic.solve(QuarticInstance(A=np.eye(1), f=[1000.0], alpha=1.0, c=0.0))
+    assert float(report.best.zeta.sigma[0]) == pytest.approx(root, rel=1e-12)
+
+
+def test_refinement_stops_at_its_iteration_cap():
+    # bisection would need about 1,030 halvings of [-1e300, 1e300] to reach 1e-10
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 1.0
+    x, fx, iters = univariate.refine(fn, -1e300, 1e300, -1e300, 1e-10)
+    assert iters == univariate.MAX_ITER
+    assert len(calls) == univariate.MAX_ITER + 1
+    assert fx == fn(x) and abs(fx) > 1e-10
+
+
 def test_one_error_at_a_pole_for_scalar_and_array_points():
     sd = SpectralData.from_matrix(np.diag([-2.0, 0.5, 3.0]), np.ones(3))
     conj = univariate.quartic(1.0, 0.0)
@@ -160,8 +193,7 @@ def _reference_roots(sd, conj, points=32768):
         grid = np.linspace(lo, hi, points)
         vals = deriv(grid)
         for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-            roots.append(univariate.refine(deriv, grid[i], grid[i + 1], vals[i],
-                                           GRAD_TOL, univariate.MAX_ITER)[0])
+            roots.append(univariate.refine(deriv, grid[i], grid[i + 1], vals[i], GRAD_TOL)[0])
     return sorted(roots)
 
 
@@ -173,8 +205,7 @@ def _near_touch(gap):
     beta = 8.0
     flat = univariate.entropy(0.0, beta)       # D' of entropy(d) is this one's plus d
     curvature = lambda s: univariate.second_derivative(sd, flat, s)
-    s_m = univariate.refine(curvature, 0.1 + 1e-3, 0.7 - 1e-3, curvature(0.1 + 1e-3),
-                            0.0, univariate.MAX_ITER)[0]
+    s_m = univariate.refine(curvature, 0.1 + 1e-3, 0.7 - 1e-3, curvature(0.1 + 1e-3), 0.0)[0]
     d = -float(univariate.derivative(sd, flat, s_m)) - gap
     return sd, univariate.entropy(d, beta), s_m
 
