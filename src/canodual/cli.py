@@ -20,6 +20,7 @@ from . import minimax, oracle, quartic, univariate
 from .errors import CanodualError, ShapeMismatchError
 from .model import (
     Classification,
+    ExistenceVerdict,
     ProblemInstance,
     SolveReport,
     parse_problem,
@@ -106,7 +107,10 @@ def cmd_solve(args) -> int:
         if exc.exit_status == 1:
             raise
         # a limit of the method is a result: the report carries its status
-        _print_report(SolveReport(notes=[str(exc)]), exc.code, args.json)
+        # and the existence verdict a fast path decided it from
+        verdict = ExistenceVerdict(exc.context.get("verdict", "NOT_APPLICABLE"))
+        _print_report(SolveReport(existence_verdict=verdict, notes=[str(exc)]),
+                      exc.code, args.json)
         return exc.exit_status
 
 
@@ -130,7 +134,7 @@ def cmd_check_existence(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    comparison = reproduce_example(args.example, beta=args.beta, cfg=_config(args))
+    comparison = reproduce_example(args.example)
     print(comparison.table())
     return 0 if comparison.ok else 2
 
@@ -193,12 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exist.add_argument("path")
 
     p_repro = sub.add_parser("reproduce",
-                             help="re-solve a built-in benchmark and compare "
-                                  "against its reference solution")
+                             help="re-solve a built-in benchmark at the default "
+                                  "configuration and compare against its "
+                                  "reference solution")
     p_repro.add_argument("example", type=int, choices=(1, 2, 3))
-    p_repro.add_argument("--beta", type=float, default=None,
-                         help="override the smoothing weight (benchmark 3 only)")
-    add_common(p_repro)
 
     p_orc = sub.add_parser("oracle-compare",
                            help="cross-check the dual solve against the grid "

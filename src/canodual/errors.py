@@ -82,9 +82,10 @@ class NoDualCriticalPointError(CanodualError):
 
 class HardCaseError(CanodualError):
     """No point of the positive-definite region (tau in the open simplex, G
-    positive definite) was found, or the dual ascent overflowed or stalled
-    on the region's boundary without reaching a critical point; the
-    instance cannot be certified by the analytic recovery formula."""
+    positive definite) was found, the dual ascent overflowed or stalled
+    on the region's boundary without reaching a critical point, or a fast
+    path's maximiser has no pair (G singular to working precision there);
+    the instance cannot be certified by the analytic recovery formula."""
 
     code = "NO_SA_PLUS_CRITICAL_POINT"
     exit_status = 2

@@ -41,6 +41,7 @@ import numpy as np
 from . import univariate
 from .dual import ShiftedHessian
 from .errors import (
+    HardCaseError,
     NonPositiveParameterError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
@@ -216,7 +217,8 @@ def _solve_canonical(can: CanonicalForm) -> SolveReport:
         sd, conj, verdict, lambda t: dual_derivative(sd, can.d, can.beta, t))
     # D' decreases on the positive region tau > -lambda_1, so its one root
     # there is the maximiser: only the intervals left of it are searched
-    left = conj._replace(hi=min(conj.hi, -float(sd.lambdas[0])))
+    lam1 = float(sd.lambdas[0])
+    left = conj._replace(hi=min(conj.hi, -lam1))
     roots = univariate.critical_points(sd, left) + [global_root]
     problem = can.to_problem()
     pairs = []
@@ -229,8 +231,14 @@ def _solve_canonical(can: CanonicalForm) -> SolveReport:
         pairs.append(replace(pair, x=can.to_original(pair.x),
                              primal_value=pair.primal_value + can.value_shift,
                              dual_value=pair.dual_value + can.value_shift))
+    if not pairs or pairs[-1].zeta.tau[0] != global_root:  # the maximiser has none
+        raise HardCaseError(
+            "no pair at the dual maximiser: G = A + tau I is singular to working "
+            "precision there, or the pair fails the gap or criticality test",
+            lambda_min=lam1, tau=global_root, min_eig=lam1 + global_root,
+            verdict=verdict.value)
     pairs = _sorted_pairs(pairs)
-    residual = max((p.residual for p in pairs), default=0.0)
+    residual = max(p.residual for p in pairs)
     return SolveReport(critical_pairs=pairs, existence_verdict=verdict,
                        iterations=len(roots), residual_norm=residual,
                        notes=[f"{len(pairs)} univariate dual critical points"])
@@ -242,7 +250,7 @@ def solve(mm: MinimaxInstance) -> SolveReport:
 
     The first pair is the certified global minimizer of the smoothed
     objective; subsequent pairs are the other dual critical points with
-    their triality labels.
+    their triality labels. A maximiser with no pair is a :class:`HardCaseError`.
     """
     can = smooth_and_canonicalize(mm)
     return _solve_canonical(can)

@@ -117,6 +117,9 @@ def grid_global_min(inst: ProblemInstance, box: BoxLike,
                     resolution: int = 601) -> tuple[np.ndarray, float]:
     """Best node of a grid on the box, polished; deterministic.
 
+    The nodes are built from their flat C-order indices and scored _CHUNK
+    at a time, so memory does not grow with the grid.
+
     Grid-only search can miss minima between nodes on quartic / smoothed-max
     curvature, so the node is always polished; the reported value is never
     above the best raw node value. The polish clips each trial to the box,
@@ -129,12 +132,13 @@ def grid_global_min(inst: ProblemInstance, box: BoxLike,
         raise ValueError(f"resolution must be in [2, {MAX_RESOLUTION}]")
     edges = _box_edges(box, n)
     axes = [np.linspace(lo, hi, resolution) for lo, hi in edges]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.column_stack([m.ravel() for m in mesh])
+    size = resolution ** n
     best_v = np.inf
-    best_x = X[0]
-    for start in range(0, X.shape[0], _CHUNK):
-        chunk = X[start:start + _CHUNK]
+    best_x = np.array([axis[0] for axis in axes])
+    for start in range(0, size, _CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + _CHUNK, size)),
+                                 (resolution,) * n)
+        chunk = np.column_stack([axis[i] for axis, i in zip(axes, index)])
         vals = _objective_batch(inst, chunk)
         i = int(np.argmin(vals))
         if vals[i] < best_v:

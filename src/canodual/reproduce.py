@@ -8,9 +8,8 @@ from typing import Optional
 import numpy as np
 
 from . import fixtures, minimax, quartic
-from .errors import InvalidModelError
 from .model import Classification, SolveReport
-from .solver import SolverConfig, find_critical_points
+from .solver import find_critical_points
 
 
 @dataclass
@@ -61,9 +60,9 @@ def _match(candidates, key, target):
     return min(candidates, key=lambda c: abs(key(c) - target))
 
 
-def _reproduce_example1(cfg: SolverConfig) -> Comparison:
+def _reproduce_example1() -> Comparison:
     inst = fixtures.example1()
-    report = find_critical_points(inst, cfg)
+    report = find_critical_points(inst)
     rows = [Row("number of critical points", len(report.critical_pairs), 3, 0)]
     checks = []
     for i, (tau, sigma, x, value, label) in enumerate(fixtures.EX1_EXPECTED["points"], 1):
@@ -85,7 +84,7 @@ def _reproduce_example1(cfg: SolverConfig) -> Comparison:
     return Comparison("benchmark 1 (1-D smoothed max + double well)", rows, checks, report)
 
 
-def _reproduce_example2(cfg: SolverConfig) -> Comparison:
+def _reproduce_example2() -> Comparison:
     inst = fixtures.example2()
     qi = quartic.QuarticInstance.from_problem(inst)
     fast = quartic.solve(qi)
@@ -98,7 +97,7 @@ def _reproduce_example2(cfg: SolverConfig) -> Comparison:
         Row("fast path: gap", best.gap, 0.0, 1e-6),
     ]
     checks = []
-    report = find_critical_points(inst, cfg)
+    report = find_critical_points(inst)
     rows.append(Row("number of critical points", len(report.critical_pairs), 5, 0))
     from .dual import assemble  # G eigenvalues per point
     for sigma_ref, eig_ref in zip(fixtures.EX2_EXPECTED["sigma"],
@@ -114,47 +113,38 @@ def _reproduce_example2(cfg: SolverConfig) -> Comparison:
     return Comparison("benchmark 2 (2-D single quartic)", rows, checks, report)
 
 
-def _reproduce_example3(beta: Optional[float]) -> Comparison:
+def _reproduce_example3() -> Comparison:
     mm = fixtures.example3()
-    if beta is not None:
-        mm = minimax.MinimaxInstance(A1=mm.A1, A2=mm.A2, f1=mm.f1, f2=mm.f2,
-                                     d1=mm.d1, d2=mm.d2, beta=beta)
     report = minimax.solve(mm)
     best = report.best
-    rows = [Row("global: gap", best.gap, 0.0, 1e-8)]
-    checks = [("global: classification GLOBAL_MIN",
-               best.classification == Classification.GLOBAL_MIN)]
     exp = fixtures.EX3_EXPECTED
-    if beta is None or beta == exp["beta"]:
-        rows += [
-            Row("global: tau", float(best.zeta.tau[0]), exp["tau_global"], 1e-5),
-            Row("global: x[0]", float(best.x[0]), exp["x_global"][0], 1e-5),
-            Row("global: x[1]", float(best.x[1]), exp["x_global"][1], 1e-5),
-            Row("global: value", best.primal_value, exp["value_global"], 1e-5),
-        ]
-        second = _match(report.critical_pairs, lambda p: float(p.zeta.tau[0]),
-                        exp["tau_second"])
-        rows += [
-            Row("second: tau", float(second.zeta.tau[0]), exp["tau_second"], 1e-5),
-            Row("second: value", second.primal_value, exp["value_second"], 1e-4),
-        ]
-        checks.append(("second: primal point is a saddle",
-                       second.primal_label == Classification.SADDLE))
+    rows = [
+        Row("global: gap", best.gap, 0.0, 1e-8),
+        Row("global: tau", float(best.zeta.tau[0]), exp["tau_global"], 1e-5),
+        Row("global: x[0]", float(best.x[0]), exp["x_global"][0], 1e-5),
+        Row("global: x[1]", float(best.x[1]), exp["x_global"][1], 1e-5),
+        Row("global: value", best.primal_value, exp["value_global"], 1e-5),
+    ]
+    second = _match(report.critical_pairs, lambda p: float(p.zeta.tau[0]), exp["tau_second"])
+    rows += [
+        Row("second: tau", float(second.zeta.tau[0]), exp["tau_second"], 1e-5),
+        Row("second: value", second.primal_value, exp["value_second"], 1e-4),
+    ]
+    checks = [("global: classification GLOBAL_MIN",
+               best.classification == Classification.GLOBAL_MIN),
+              ("second: primal point is a saddle",
+               second.primal_label == Classification.SADDLE)]
     return Comparison(f"benchmark 3 (2-D smoothed minimax, beta={mm.beta:g})",
                       rows, checks, report)
 
 
-def reproduce_example(example_id: int, beta: Optional[float] = None,
-                      cfg: Optional[SolverConfig] = None) -> Comparison:
-    cfg = cfg or SolverConfig()
-    if beta is not None and example_id in (1, 2):
-        raise InvalidModelError(
-            f"benchmark {example_id} takes no beta override: its reference values "
-            "hold for its own data only (the override applies to benchmark 3)")
+def reproduce_example(example_id: int) -> Comparison:
+    """Re-solve benchmark ``example_id`` (1, 2 or 3) at the fixed default
+    configuration and compare it with its published reference values."""
     if example_id == 1:
-        return _reproduce_example1(cfg)
+        return _reproduce_example1()
     if example_id == 2:
-        return _reproduce_example2(cfg)
+        return _reproduce_example2()
     if example_id == 3:
-        return _reproduce_example3(beta)
+        return _reproduce_example3()
     raise ValueError(f"unknown benchmark id {example_id}; choose 1, 2 or 3")

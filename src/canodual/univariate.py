@@ -208,7 +208,8 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
     refined by Newton steps, otherwise by bisection. Raises
     :class:`UnboundedError` when the positive region is empty and
     :class:`NoDualCriticalPointError` when it holds no critical point (a
-    relatively hard instance).
+    relatively hard instance); each error's context carries ``verdict``,
+    the verdict's value, for the report of the limit.
 
     D' is strictly decreasing on the positive region (lo, hi), and its root
     is bracketed by approaching both ends with shrinking offsets
@@ -220,11 +221,11 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
     lam1 = float(sd.lambdas[0])
     if verdict == ExistenceVerdict.UNBOUNDED:
         raise UnboundedError("objective unbounded below: the positive region "
-                             "is empty", lambda_min=lam1)
+                             "is empty", lambda_min=lam1, verdict=verdict.value)
     if verdict == ExistenceVerdict.NOT_EXISTS:
         raise NoDualCriticalPointError(
-            "no dual critical point in the positive-definite region "
-            "(relatively hard instance)")
+            "no dual critical point in the positive-definite region, a "
+            "relatively hard instance", verdict=verdict.value)
     lo, hi = max(-lam1, conj.lo), conj.hi
     if conj.lo > -lam1 and not conj.barrier and deriv(lo) <= 0.0:
         return lo, 0                      # maximum attained at the closed end
@@ -253,7 +254,7 @@ def maximise(sd: SpectralData, conj: Conjugate, verdict: ExistenceVerdict,
     if b is None:
         raise NoDualCriticalPointError(
             "existence predicted a positive-region critical point but "
-            "bracketing found none", lower=lo)
+            "bracketing found none", lower=lo, verdict=verdict.value)
     root, _, iters = refine(deriv, left[0], b, left[1], max(GRAD_TOL, floor), fprime=second)
     return root, iters
 

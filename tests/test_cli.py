@@ -115,6 +115,35 @@ class TestSolve:
         assert out["status"] == "NO_SA_PLUS_CRITICAL_POINT"
         assert "stalled" in out["notes"][0]
 
+    def test_an_uncertified_maximiser_exits_two(self, tmp_path, capsys):
+        # the smoothed-minimax maximiser sits 3.2e-11 past a pole of
+        # G^{-1}, where no pair is built: a limit, never an empty certificate
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"n": 2, "A": [[-0.5, 0], [0, 0.3]], "f": [1e-10, 0.1],
+                                    "lse": [{"Q": [[1, 0], [0, 1]], "d": -5}], "beta": 10}))
+        assert main(["solve", str(path), "--json"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "NO_SA_PLUS_CRITICAL_POINT"
+        assert out["existence_verdict"] == "EXISTS"
+        assert out["critical_pairs"] == []
+        assert main(["oracle-compare", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [NO_SA_PLUS_CRITICAL_POINT]")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("doc, verdict", [
+        ({"n": 2, "A": [[-2, 0], [0, 1]], "f": [0, 0.1],
+          "quartic": [{"B": [[1, 0], [0, 1]], "c": -3, "alpha": 1}], "beta": 1}, "NOT_EXISTS"),
+        ({"n": 1, "A": [[-3]], "f": [0.5], "lse": [{"Q": [[1]], "d": 0}], "beta": 2},
+         "UNBOUNDED"),
+    ], ids=["not-exists", "unbounded"])
+    def test_a_fast_path_limit_reports_its_verdict(self, doc, verdict, tmp_path, capsys):
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--json"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == out["existence_verdict"] == verdict
+
     def test_beta_override(self, ex3_path, capsys):
         code = main(["solve", ex3_path, "--beta", "1000", "--json"])
         out = json.loads(capsys.readouterr().out)
@@ -237,6 +266,18 @@ class TestReproduce:
         assert main(["reproduce", "9"]) == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--starts", "2"], ["--seed", "1"], ["--beta", "10"]],
+                             ids=["starts", "seed", "beta"])
+    def test_an_option_is_a_usage_error(self, option, capsys):
+        # the reference values hold at the default configuration only:
+        # 2 starts lose benchmark 1's GLOBAL_MIN, and the beta study is
+        # scripts/beta_sweep.py's
+        example = "3" if option[0] == "--beta" else "1"
+        assert main(["reproduce", example, *option]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("example", [0, 4, -1])
     def test_the_library_refuses_an_unknown_id(self, example):
         with pytest.raises(ValueError, match=f"unknown benchmark id {example}; choose 1, 2 or 3"):
@@ -311,28 +352,17 @@ class TestOracleCompare:
 
 
 @pytest.mark.parametrize("beta", ["-1", "0", "nan"])
-@pytest.mark.parametrize("command", ["solve", "reproduce"])
-def test_invalid_beta_override_is_input_error(command, beta, ex1_path, capsys):
-    target = ex1_path if command == "solve" else "3"
-    assert main([command, target, "--beta", beta]) == 1
+def test_invalid_beta_override_is_input_error(beta, ex1_path, capsys):
+    assert main(["solve", ex1_path, "--beta", beta]) == 1
     assert "error [NON_POSITIVE_PARAMETER]" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("beta", ["2", "-1"])
-@pytest.mark.parametrize("example", ["1", "2"])
-def test_beta_override_of_fixed_benchmark_is_input_error(example, beta, capsys):
-    # only benchmark 3 re-solves at another beta; 1 and 2 must not ignore it
-    assert main(["reproduce", example, "--beta", beta]) == 1
-    assert "error [INVALID_MODEL]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("starts", ["0", "-3"])
 @pytest.mark.parametrize("command", [["solve"], ["solve", "--all-critical"],
-                                     ["oracle-compare"], ["reproduce"]],
-                         ids=["solve", "solve-all-critical", "oracle-compare", "reproduce"])
+                                     ["oracle-compare"]],
+                         ids=["solve", "solve-all-critical", "oracle-compare"])
 def test_nonpositive_starts_is_input_error(command, starts, ex1_path, capsys):
-    target = "1" if command == ["reproduce"] else ex1_path
-    assert main([command[0], target, *command[1:], "--starts", starts]) == 1
+    assert main([command[0], ex1_path, *command[1:], "--starts", starts]) == 1
     captured = capsys.readouterr()
     assert "error: num_starts and max_iter must be >= 1" in captured.err
     assert captured.out == ""

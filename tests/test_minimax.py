@@ -8,6 +8,7 @@ from canodual import fixtures, univariate
 from canodual.dual import ShiftedHessian, assemble
 from canodual.errors import (
     DomainError,
+    HardCaseError,
     NoDualCriticalPointError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
@@ -24,7 +25,15 @@ from canodual.minimax import (
     solve_smoothed,
     validate_minimax,
 )
-from canodual.model import Classification, DualPoint, ExistenceVerdict, SpectralData
+from canodual.model import (
+    Classification,
+    DualPoint,
+    ExistenceVerdict,
+    LseTerm,
+    ProblemInstance,
+    SpectralData,
+    validate,
+)
 from canodual.solver import make_pair
 
 from conftest import rand_minimax, rand_sym
@@ -283,6 +292,22 @@ class TestSolve:
         assert 1.0 - tau < 1e-6
         assert tau < 1.0
         assert rep.best.gap <= 1e-9 * (1 + abs(rep.best.dual_value))
+
+    def test_a_maximiser_without_a_pair_is_a_hard_case(self):
+        # the head load 1e-10 is above its threshold, so the maximiser
+        # exists, but it lies 3.2e-11 past the pole at tau = 0.5, where
+        # A + tau I is singular to working precision
+        inst = validate(ProblemInstance(A=np.diag([-0.5, 0.3]), f=[1e-10, 0.1],
+                                        lse_terms=(LseTerm(Q=np.eye(2), d=-5.0),), beta=10.0))
+        can = canonical_from_problem(inst)
+        assert existence_check(can.spectral(), can.d, can.beta) == ExistenceVerdict.EXISTS
+        with pytest.raises(HardCaseError, match="no pair at the dual maximiser") as err:
+            solve_smoothed(inst)
+        context = err.value.context
+        assert context["lambda_min"] == -0.5
+        assert context["min_eig"] == context["lambda_min"] + context["tau"]
+        assert 0.0 < context["min_eig"] < 1e-10
+        assert context["verdict"] == "EXISTS"
 
     def test_beta_sweep_decreases_to_nonsmooth_optimum(self):
         rows = beta_sweep(fixtures.example3(), [1.0, 1e2, 1e4])

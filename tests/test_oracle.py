@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from canodual import fixtures
 from canodual.dual import eval_dual, grad_dual
 from canodual.errors import DimensionTooLargeError
 from canodual.minimax import smooth_and_canonicalize
-from canodual.model import DualPoint, ProblemInstance, QuarticTerm, validate
+from canodual.model import DualPoint, LseTerm, ProblemInstance, QuarticTerm, validate
 from canodual.oracle import (
     _box_edges,
+    _objective_batch,
+    _polish,
     definiteness_transfer_check,
     fd_gradient,
     fd_hessian,
@@ -95,6 +99,52 @@ class TestGrid:
         # a deliberately coarse grid still lands on the right basin floor
         x, v = grid_global_min(fixtures.example1(), (-3.0, 3.0), 31)
         assert v == pytest.approx(0.11252, abs=1e-4)
+
+
+def _full_grid_min(inst, box, resolution):
+    """The oracle on the whole grid at once: every node's value, the first
+    argmin, then the polish."""
+    edges = _box_edges(box, inst.n)
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in edges]
+    X = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    vals = _objective_batch(inst, X)
+    i = int(np.argmin(vals))
+    lo, hi = np.array(edges).T
+    return _polish(lambda x: float(_objective_batch(inst, x[None, :])[0]),
+                   X[i], float(vals[i]), lo, hi)
+
+
+def _three_dimensional():
+    return validate(ProblemInstance(
+        A=[[-1.0, 0.2, 0.0], [0.2, 0.5, 0.0], [0.0, 0.0, 1.0]], f=[0.3, -0.2, 0.1],
+        quartic_terms=(QuarticTerm(B=np.eye(3), c=-1.0, alpha=2.0),)))
+
+
+class TestChunkedGrid:
+    @pytest.mark.parametrize("inst, box, resolution", [
+        (fixtures.example1(), (-3.0, 3.0), 601),
+        (fixtures.example2(), (-8.0, 8.0), 481),
+        (validate(ProblemInstance(A=np.diag([-0.5, 0.3]), f=[0.2, 0.1],
+                                  lse_terms=(LseTerm(Q=np.eye(2), d=-1.0),), beta=4.0)),
+         [(-1.0, 2.5), (-3.0, 0.5)], 401),
+        (_three_dimensional(), (-2.0, 2.0), 61),
+        (_three_dimensional(), [(-2.0, 2.0), (-1.5, 1.0), (-1.0, 1.0)], 71),
+    ], ids=["n1", "n2", "n2-per-coordinate", "n3", "n3-per-coordinate"])
+    def test_is_the_full_grid_bit_for_bit(self, inst, box, resolution):
+        # the 481^2, 61^3 and 71^3 grids span two chunks each
+        x, v = grid_global_min(inst, box, resolution)
+        x_ref, v_ref = _full_grid_min(inst, box, resolution)
+        assert np.array_equal(x, x_ref) and v == v_ref
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the whole 201^3 grid and its mesh take about 400 MB
+        tracemalloc.start()
+        try:
+            grid_global_min(_three_dimensional(), (-6.0, 6.0), 201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestFiniteDifferences:

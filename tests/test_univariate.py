@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from canodual import minimax, quartic, univariate
+from canodual.cli import main
 from canodual.dual import BOUNDARY_MARGIN, GRAD_TOL, eval_dual, grad_dual, hess_dual
 from canodual.errors import (
     CanodualError,
@@ -25,6 +28,7 @@ from canodual.model import (
     LseTerm,
     ProblemInstance,
     SpectralData,
+    serialize_problem,
     validate,
 )
 from canodual.quartic import QuarticInstance
@@ -64,7 +68,7 @@ def test_maximiser_hugging_the_entropy_barrier_is_bracketed():
     assert tau == pytest.approx(1.0 / (1.0 + np.exp(30.63)), rel=1e-9)
 
 
-def test_maximiser_past_the_right_reach_is_not_bracketed():
+def test_maximiser_past_the_right_reach_is_not_bracketed(tmp_path, capsys):
     # f = 0, so tau* = 1 / (1 + e^-40): 1 - tau* is about 4e-18, closer to
     # the right end than the 1e-13 the bracketing reaches
     inst = validate(ProblemInstance(A=np.diag([1.0, 2.0]), f=np.zeros(2),
@@ -75,6 +79,13 @@ def test_maximiser_past_the_right_reach_is_not_bracketed():
     with pytest.raises(NoDualCriticalPointError, match="bracketing found none") as err:
         solve_smoothed(inst)
     assert err.value.context["lower"] == 0.0
+    # the limit's report carries the verdict it was raised under
+    path = tmp_path / "reach.json"
+    path.write_text(serialize_problem(inst))
+    assert main(["solve", str(path), "--json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "NOT_EXISTS"
+    assert out["existence_verdict"] == "UNCONDITIONAL"
 
 
 def test_maximum_at_the_closed_end_takes_no_iterations():
