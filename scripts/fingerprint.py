@@ -13,11 +13,14 @@ residual norm and the notes, or the type of the raised error. Prints one
 line per input set, with its digest, its exact counts (cases, pairs,
 certified, failed) and the counts recorded for it in
 ``perfbench/expected_counts.json`` (read, never written), then one SHA-256
-per workload over the set digests. Two trees print the same workload line
-exactly when every one of those outputs is bitwise the same, and the set
-lines show which input sets changed bits. The exit code is 1 when any
-set's counts differ from the recorded ones. The library is imported from
-the ``src`` of the checkout the script lives in.
+per workload over the set digests, then the workload's process time
+(``time.process_time``) summed over the library calls of every set. Two
+trees print the same workload line exactly when every one of those
+outputs is bitwise the same, and the set lines show which input sets
+changed bits; the process-time lines compare their speed on the same
+cases, free of the waits that wall time counts on a shared machine. The
+exit code is 1 when any set's counts differ from the recorded ones. The
+library is imported from the ``src`` of the checkout the script lives in.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import hashlib
 import json
 import multiprocessing
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,8 +57,9 @@ def _fields(result):
 
 
 def digest_for(job):
-    """SHA-256 of every output on the exact blocks of one input set, and
-    the benchmark's exact counts over those blocks."""
+    """SHA-256 of every output on the exact blocks of one input set, the
+    benchmark's exact counts over those blocks, and the process seconds of
+    their library calls."""
     from checks import classify
     from workloads import WORKLOADS, block_rng
 
@@ -62,11 +67,16 @@ def digest_for(job):
     wl = WORKLOADS[workload]
     h = hashlib.sha256()
     outcomes = []
+    seconds = 0.0
     for index in range(wl.exact_blocks):
-        for case, dt, result in run._solve(wl.make_block(block_rng(workload, seed, index), False)):
+        block = wl.make_block(block_rng(workload, seed, index), False)
+        t0 = time.process_time()
+        solved = run._solve(block)
+        seconds += time.process_time() - t0
+        for case, dt, result in solved:
             h.update(json.dumps([case.label, *_fields(result)]).encode())
             outcomes.append(classify(case, dt, result))
-    return workload, seed, h.hexdigest(), run.exact_counts(outcomes)
+    return workload, seed, h.hexdigest(), run.exact_counts(outcomes), seconds
 
 
 def _counts(counts) -> str:
@@ -89,12 +99,12 @@ def main(argv=None) -> int:
     jobs = [(name, seed) for name in names for seed in range(RECORDED_SEEDS)]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(max(1, args.jobs), initializer=_init) as pool:
-        done = {(w, s): (d, c) for w, s, d, c in pool.imap_unordered(digest_for, jobs)}
+        done = {(w, s): rest for w, s, *rest in pool.imap_unordered(digest_for, jobs)}
     differ = 0
     for name in names:
         h = hashlib.sha256()
         for seed in range(RECORDED_SEEDS):
-            digest, counts = done[name, seed]
+            digest, counts, _ = done[name, seed]
             h.update(digest.encode())
             recorded = run._recorded(name, seed, WORKLOADS[name].exact_blocks)
             same = counts == recorded
@@ -102,6 +112,8 @@ def main(argv=None) -> int:
             print(f"{name} set {seed}: {digest} counts {_counts(counts)}; "
                   f"recorded {_counts(recorded)}; {'same' if same else 'DIFFERENT'}")
         print(f"{name} sets 0-{RECORDED_SEEDS - 1}: {h.hexdigest()}")
+        seconds = sum(done[name, seed][2] for seed in range(RECORDED_SEEDS))
+        print(f"{name} process time: {seconds:.2f} s")
     return 1 if differ else 0
 
 

@@ -155,11 +155,17 @@ def solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     partial pivoting, rounded as the solve of one point; NaN where LAPACK
     finds M[i] singular.
 
-    One singular M[i] fails a stacked ``solve`` whole. Then one stacked
-    ``slogdet`` marks those rows: it runs the same ``getrf`` and gives sign
-    0 exactly where that meets a zero pivot. One ``solve`` takes the rest,
-    so a stack costs at most three LAPACK calls, however many rows are
-    singular."""
+    At n = 1 the LU is the division b / M: LAPACK rounds it so and refuses
+    exactly a zero pivot (+-0), so that division, NaN at a zero pivot, is
+    the solve, with no LAPACK call. At n >= 2 one singular M[i] fails a
+    stacked ``solve`` whole. Then one stacked ``slogdet`` marks those rows:
+    it runs the same ``getrf`` and gives sign 0 exactly where that meets a
+    zero pivot. One ``solve`` takes the rest, so a stack costs at most
+    three LAPACK calls, however many rows are singular."""
+    if M.shape[-1] == 1:
+        pivot = M[..., 0]
+        with np.errstate(all="ignore"):  # LAPACK divides without a warning
+            return np.divide(b, pivot, out=np.full(b.shape, np.nan), where=pivot != 0.0)
     try:
         return np.linalg.solve(M, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -267,13 +273,14 @@ def dual_weight_inverse(inst: ProblemInstance, tau: np.ndarray) -> np.ndarray:
     T = np.atleast_2d(np.asarray(tau, dtype=float))
     k, m, p = len(T), inst.m, inst.p
     Dinv = np.zeros((k, m, m))
+    diagonal = Dinv.reshape(k, m * m)[:, ::m + 1]  # a view of every diagonal
     if p:
-        diag = np.zeros((k, p, p))
-        diag[:, np.arange(p), np.arange(p)] = 1.0 / T
-        slack = 1.0 - T.sum(axis=1)
-        Dinv[:, :p, :p] = (diag + (1.0 / slack)[:, None, None]) / inst.beta
+        block = Dinv[:, :p, :p]
+        block[...] = (1.0 / (1.0 - T.sum(axis=1)))[:, None, None]
+        diagonal[:, :p] += 1.0 / T
+        block /= inst.beta
     if inst.r:
-        Dinv[:, p:, p:] = np.diag(1.0 / inst.alpha)
+        diagonal[:, p:] = 1.0 / inst.alpha
     return Dinv[0] if one else Dinv
 
 

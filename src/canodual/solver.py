@@ -21,9 +21,13 @@ points: each gives its stacked gradient (``dual.evaluate``,
 ``primal.grad_primal``) and Newton direction, and the driver owns the
 iteration cap, the convergence and stop tests and the line search. A start
 converges when its gradient meets the tolerance at its start or after any
-allowed step, the point after the last one included. No start reads
-another's data, so each ends bitwise as it would alone, and a search ends
-when no start is left running.
+allowed step, the point after the last one included. A round is one
+evaluation of all pending trials: the driver takes each start's first
+acceptable trial and carries that trial's gradient, its merit from the
+acceptance test and its kernel output (the dual search's U, w and Mx) one
+round on, into the start's next Newton step. No start reads another's
+data, so each ends bitwise as it would alone, and a search ends when no
+start is left running.
 
 The driver backtracks in batches: each round evaluates a batch of halvings
 of every running start's first trial step, sized from that start's own
@@ -66,7 +70,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -131,11 +135,10 @@ def _tau_step_caps(tau: np.ndarray, dtau: np.ndarray) -> np.ndarray:
     """
     if tau.shape[1] == 0:
         return np.full(len(tau), np.inf)
-    value = np.column_stack([tau, 1.0 - tau.sum(axis=1)])
-    slope = np.column_stack([dtau, -dtau.sum(axis=1)])
+    value = np.concatenate([tau, 1.0 - tau.sum(axis=1, keepdims=True)], axis=1)
+    fall = np.concatenate([-dtau, dtau.sum(axis=1, keepdims=True)], axis=1)  # per unit step
     allowed = np.maximum(value - np.maximum(BOUNDARY_MARGIN, (1.0 - 0.995) * value), 0.0)
-    cap = np.divide(allowed, -slope, out=np.full(value.shape, np.inf),
-                    where=slope < 0.0)
+    cap = np.divide(allowed, fall, out=np.full(value.shape, np.inf), where=fall > 0.0)
     return cap.min(axis=1)
 
 
@@ -325,10 +328,11 @@ def _newton_ascent(inst: ProblemInstance, z: np.ndarray, pts: _dual.Points,
 
 
 def _directions(inst: ProblemInstance, tau: np.ndarray, pts: _dual.Points):
-    """Newton steps -J^{-1} g at the valid points ``pts``, with steepest
-    descent -J g on the merit function, scaled to unit max-norm, where the
-    Newton step is not finite. Returns (steps, flat): ``flat`` marks the
-    points where that descent direction is zero."""
+    """Newton steps -J^{-1} g at the valid points ``pts`` (only their grad,
+    U, w and Mx are read), with steepest descent -J g on the merit
+    function, scaled to unit max-norm, where the Newton step is not finite.
+    Returns (steps, flat): ``flat`` marks the points where that descent
+    direction is zero."""
     J = _dual.hessians(inst, tau, pts.Mx.transpose(0, 2, 1), pts.U, pts.w)
     g = pts.grad
     steps = _dual.solve_rows(J, -g)
@@ -383,11 +387,13 @@ def _trial_round(running: np.ndarray, tried: np.ndarray, last: np.ndarray,
     batch = np.where(done > 0, np.maximum(done, _HALVINGS_PER_ROUND), first)
     owner = L.repeat(batch)
     lead = batch.cumsum() - batch  # each start's first trial
-    halving = tried[owner] + np.arange(owner.size) - lead.repeat(batch)
+    halving = (done - lead).repeat(batch) + np.arange(owner.size)
     t = t0[owner] * 0.5 ** halving
+    tried[L] = done + batch
     live = t > floor
+    if live.all():
+        return owner, t, halving
     running[L[~live[lead]]] = False
-    tried[L] += batch
     return owner[live], t[live], halving[live]
 
 
@@ -395,10 +401,10 @@ def _first_acceptable(owner: np.ndarray, ok: np.ndarray):
     """(start, trial index) of the first acceptable trial of each start,
     for trials grouped by start in halving order."""
     first = ok.nonzero()[0]
+    start = owner[first]
     lowest = np.ones(first.size, dtype=bool)
-    lowest[1:] = owner[first[1:]] != owner[first[:-1]]
-    first = first[lowest]
-    return owner[first], first
+    lowest[1:] = start[1:] != start[:-1]
+    return start[lowest], first[lowest]
 
 
 def _lockstep_newton(evaluate, direction, X0: np.ndarray, max_iter: int, tol: float,
@@ -416,8 +422,10 @@ def _lockstep_newton(evaluate, direction, X0: np.ndarray, max_iter: int, tol: fl
     steps; it stops unconverged there, at an invalid or non-finite point,
     where ``stop`` says so, or when no trial down to ``floor`` lowers the
     merit by the factor 1 - decrease * t. A round evaluates the pending
-    trials of all starts in one call, and no start reads another's data,
-    so every row ends exactly as it would alone.
+    trials of all starts in one call, takes each start's first acceptable
+    trial, and hands that trial's rows of g and state, and its merit from
+    the acceptance test, straight to the start's next step; no start reads
+    another's data, so every row ends exactly as it would alone.
 
     Returns (X, iterations, converged), one row or entry per start.
     """
@@ -425,42 +433,41 @@ def _lockstep_newton(evaluate, direction, X0: np.ndarray, max_iter: int, tol: fl
     k = len(X)
     iters = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
-    valid, g, state = evaluate(X)
-    running = valid.copy()
-    fresh = running.copy()          # at a new point, due for a Newton step
+    running = np.zeros(k, dtype=bool)
     step = np.zeros_like(X)
     t0 = np.zeros(k)                # first trial step length
     tried = np.zeros(k, dtype=int)  # halvings of t0 already tried
     last = np.zeros(k, dtype=int)   # halving accepted on the previous step
-    merit = np.zeros(k)
+    valid, g, state = evaluate(X)
+    merit = _half_sq_norms(g)       # 1/2 ||g||^2 at each start's point
+    S = at = valid.nonzero()[0]     # the starts at a new point, their rows of g
+    gS = g[at]
     while True:
-        S = fresh.nonzero()[0]
-        fresh[:] = False
-        iters[S] += 1
-        ginf = np.abs(g[S]).max(axis=1)
-        capped = iters[S] > max_iter
-        iters[S[capped]] = max_iter
-        converged[S] = ginf <= tol
-        running[S[capped | ~np.isfinite(ginf) | converged[S]]] = False
-        S = S[running[S]]
+        it = iters[S] + 1
+        capped = it > max_iter
+        iters[S] = np.minimum(it, max_iter)
+        ginf = np.abs(gS).max(axis=1)
+        converged[S] = done = ginf <= tol
+        running[S] = go = ~(capped | done) & np.isfinite(ginf)
+        if not go.all():
+            S, at, gS = S[go], at[go], gS[go]
         if S.size:
-            step[S], t0[S], stop = direction(X[S], g[S], [a[S] for a in state])
+            step[S], t0[S], stop = direction(X[S], gS, [a[at] for a in state])
             running[S[stop]] = False
             tried[S] = 0
-            merit[S] = _half_sq_norms(g[S])
         owner, t, halving = _trial_round(running, tried, last, t0, floor)
         if owner.size == 0:  # no start is running
             return X, iters, converged
         Xt = X[owner] + t[:, None] * step[owner]
-        valid, gt, trial = evaluate(Xt)
-        ok = valid & np.isfinite(gt).all(axis=1)
-        ok[ok] = _half_sq_norms(gt[ok]) <= merit[owner[ok]] * (1.0 - decrease * t[ok])
-        accepted, first = _first_acceptable(owner, ok)
-        last[accepted] = halving[first]
-        X[accepted] = Xt[first]
-        for mine, theirs in zip((g, *state), (gt, *trial)):
-            mine[accepted] = theirs[first]
-        fresh[accepted] = True
+        valid, g, state = evaluate(Xt)
+        trial_merit = _half_sq_norms(g)
+        ok = (valid & np.isfinite(g).all(axis=1)
+              & (trial_merit <= merit[owner] * (1.0 - decrease * t)))
+        S, at = _first_acceptable(owner, ok)
+        last[S] = halving[at]
+        X[S] = Xt[at]
+        merit[S] = trial_merit[at]
+        gS = g[at]
 
 
 def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
@@ -476,10 +483,11 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
 
     def evaluate(Z):
         pts = _dual.evaluate(inst, Z)
-        return pts.valid, pts.grad, pts
+        return pts.valid, pts.grad, (pts.U, pts.w, pts.Mx)
 
-    def direction(Z, g, rows):
-        dz, flat = _directions(inst, Z[:, :p], _dual.Points(*rows))
+    def direction(Z, g, state):
+        U, w, Mx = state
+        dz, flat = _directions(inst, Z[:, :p], _dual.Points(None, g, U, w, None, Mx))
         t0 = np.minimum(1.0, _tau_step_caps(Z[:, :p], dz[:, :p]))
         return dz, t0, flat
 
@@ -513,13 +521,19 @@ def _primal_roots(inst: ProblemInstance, X0: np.ndarray, tol: float):
     return X, converged
 
 
-def _dedup(points: Iterable[np.ndarray]) -> list[np.ndarray]:
-    unique: list[np.ndarray] = []
-    for z in points:
-        if not any(np.max(np.abs(z - u), initial=0.0) <= 1e-6 * (1.0 + float(np.linalg.norm(u)))
-                   for u in unique):
-            unique.append(z)
-    return unique
+def _dedup(Z: np.ndarray) -> np.ndarray:
+    """The rows of Z (k, m), in order, that are farther than
+    1e-6 (1 + ||u||) in max-norm from every earlier kept row u: each row is
+    tested against all kept rows in one comparison."""
+    kept = np.empty_like(Z)
+    tol = np.empty(len(Z))  # 1e-6 (1 + ||u||) of each kept row u
+    count = 0
+    for z in Z:
+        if not (np.abs(z - kept[:count]).max(axis=1, initial=0.0) <= tol[:count]).any():
+            kept[count] = z
+            tol[count] = 1e-6 * (1.0 + float(np.linalg.norm(z)))
+            count += 1
+    return kept[:count]
 
 
 # ---------------------------------------------------------------------------

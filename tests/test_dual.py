@@ -294,6 +294,30 @@ class TestPointContracts:
         assert np.allclose(G.matrix, expected, atol=1e-14)
         assert np.allclose(G.matrix @ G.x_of_f, inst.f, atol=1e-10)
 
+    def test_weight_inverse_is_the_blockwise_formula(self):
+        """Bitwise the formula written block by block: a (p, p) diagonal of
+        1/tau plus 1/slack everywhere, over beta, then diag(1/alpha); with
+        tau next to the simplex edge."""
+        def reference(inst, T):
+            k, m, p = len(T), inst.m, inst.p
+            Dinv = np.zeros((k, m, m))
+            if p:
+                diag = np.zeros((k, p, p))
+                diag[:, np.arange(p), np.arange(p)] = 1.0 / T
+                slack = 1.0 - T.sum(axis=1)
+                Dinv[:, :p, :p] = (diag + (1.0 / slack)[:, None, None]) / inst.beta
+            if inst.r:
+                Dinv[:, p:, p:] = np.diag(1.0 / inst.alpha)
+            return Dinv
+
+        rng = np.random.default_rng(31)
+        for m in range(1, 4):
+            for p in range(m + 1):
+                inst = rand_instance(rng, n=2, p=p, r=m - p)
+                W = rng.exponential(size=(40, p + 1)) * 10.0 ** rng.integers(-12, 1, (40, p + 1))
+                T = (W / W.sum(axis=1, keepdims=True))[:, :p]
+                assert np.array_equal(dual_weight_inverse(inst, T), reference(inst, T))
+
     def test_stacked_weight_inverse_matches_each_point(self):
         rng = np.random.default_rng(9)
         for m in range(1, 4):
@@ -340,6 +364,38 @@ class TestStackedKernels:
                 else:
                     assert np.array_equal(got[i], want, equal_nan=True)
         assert singular >= 100
+
+    def test_a_1x1_solve_is_a_division(self, monkeypatch):
+        """At n = 1 every row is bitwise LAPACK's solve, NaN exactly where
+        LAPACK refuses (a zero pivot of either sign), on stacks mixing
+        random systems with zero, infinite, NaN and subnormal entries on
+        either side, and no row reaches LAPACK."""
+        rng = np.random.default_rng(23)
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                         2e-308, 1e308, -1e-300, 1.0])
+        M = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 300, 4000)
+        b = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 300, 4000)
+        M[:2000:2] = rng.choice(edge, 1000)
+        b[1:2000:2] = rng.choice(edge, 1000)
+        M[2000:2000 + edge.size ** 2] = np.repeat(edge, edge.size)
+        b[2000:2000 + edge.size ** 2] = np.tile(edge, edge.size)
+        want = np.full(M.size, np.nan)
+        with np.errstate(all="ignore"):
+            for i, (a, f) in enumerate(zip(M, b)):
+                try:
+                    want[i] = np.linalg.solve([[a]], [f])[0]
+                except np.linalg.LinAlgError:
+                    assert a == 0.0
+        assert np.isnan(want[M == 0.0]).all()
+
+        def no_lapack(*args):
+            raise AssertionError("a 1 x 1 solve reached LAPACK")
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        monkeypatch.setattr(np.linalg, "slogdet", no_lapack)
+        got = solve_rows(M[:, None, None], b[:, None])[:, 0]
+        assert got.view(np.int64)[~np.isnan(want)].tolist() == \
+            want.view(np.int64)[~np.isnan(want)].tolist()
+        assert np.isnan(got).tolist() == np.isnan(want).tolist()
 
     def test_gradients_are_the_eigen_kernels(self):
         """The LU kernel's gradient is the eigen kernel's to rounding at

@@ -788,18 +788,19 @@ class TestLockstepHarvest:
         assert ending == "capped" and not converged[0] and np.array_equal(X[0], x)
 
     def test_failed_hessian_solves_are_marked_and_step_along_minus_grad(self, monkeypatch):
-        """With a third of the Hessians refused as singular by LAPACK (by
-        its solve and its slogdet alike), a stacked solve holding one of
-        them fails whole; the slogdet marks the refused rows, the others are
-        solved in one call, and the refused ones step along -grad, as the
-        reference does."""
+        """With a third of the Hessians at n >= 2 refused as singular by
+        LAPACK (by its solve and its slogdet alike), a stacked solve holding
+        one of them fails whole; the slogdet marks the refused rows, the
+        others are solved in one call, and the refused ones step along
+        -grad, as the reference does. A 1 x 1 Hessian is solved by a
+        division and never reaches LAPACK, so the fake refuses none."""
         solve, slogdet = np.linalg.solve, np.linalg.slogdet
         refused = {"stacked": 0, "one": 0, "marked": 0}
 
         def singular(a):
             mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
-            return np.array([zlib.crc32(np.ascontiguousarray(M).tobytes()) % 3 == 0
-                             for M in mats])
+            return np.array([len(M) > 1 and zlib.crc32(np.ascontiguousarray(M).tobytes()) % 3 == 0
+                             for M in mats], dtype=bool)
 
         def flaky_solve(a, b):
             refuse = singular(a)
@@ -1211,3 +1212,101 @@ class TestDirections:
         got, got_pts, it, converged = solver._newton_ascent(inst, z, pts, cfg)
         assert (it, converged, calls) == (1, False, [1])
         assert got is z and got_pts is pts
+
+
+class TestLockstepHandoff:
+    def test_each_step_gets_a_fresh_evaluation_of_its_point(self, monkeypatch):
+        """At every Newton step of both searches, at a start or at an
+        accepted trial, the direction callback gets per row bitwise what a
+        one-row evaluation at that point gives: the dual kernel's grad, U,
+        w and Mx, or the primal gradient."""
+        lockstep = solver._lockstep_newton
+        steps = {"dual": 0, "primal": 0}
+        starts = dict(steps)
+
+        def checked(evaluate, direction, X0, *args):
+            starts["dual" if evaluate(X0[:1])[2] else "primal"] += len(X0)
+
+            def fresh(X, g, state):
+                for i, x in enumerate(X):
+                    if state:
+                        pts = dual.evaluate(inst, x[None])
+                        want = (pts.grad, pts.U, pts.w, pts.Mx)
+                    else:
+                        want = (primal.grad_primal(inst, x[None]),)
+                    for got, one in zip((g, *state), want, strict=True):
+                        assert np.array_equal(got[i], one[0])
+                steps["dual" if state else "primal"] += len(X)
+                return direction(X, g, state)
+            return lockstep(evaluate, fresh, X0, *args)
+
+        monkeypatch.setattr(solver, "_lockstep_newton", checked)
+        rng = np.random.default_rng(17)
+        cfg = SolverConfig(num_starts=8, max_iter=40)
+        for n in (1, 2, 3):
+            for m in (1, 2):
+                for p in range(m + 1):
+                    inst = rand_instance(rng, n=n, p=p, r=m - p)
+                    find_critical_points(inst, cfg)
+        # most steps come after accepted trials
+        assert steps["dual"] > 3 * starts["dual"] and steps["primal"] > 3 * starts["primal"]
+
+
+def _tau_step_caps_reference(tau, dtau):
+    """The fraction-to-boundary caps written column by column."""
+    value = np.column_stack([tau, 1.0 - tau.sum(axis=1)])
+    slope = np.column_stack([dtau, -dtau.sum(axis=1)])
+    allowed = np.maximum(value - np.maximum(BOUNDARY_MARGIN, (1.0 - 0.995) * value), 0.0)
+    cap = np.divide(allowed, -slope, out=np.full(value.shape, np.inf), where=slope < 0.0)
+    return cap.min(axis=1)
+
+
+class TestStepCaps:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_caps_are_the_columnwise_formula(self, p):
+        """Bitwise the reference, with tau and the slack next to the simplex
+        edge and on the margin, and steps of both signs and of either zero."""
+        rng = np.random.default_rng(40 + p)
+        W = rng.exponential(size=(300, p + 1)) * 10.0 ** rng.integers(-12, 1, (300, p + 1))
+        Z = np.hstack([W / W.sum(axis=1, keepdims=True), rng.standard_normal((300, 2))])
+        Z[:20, :p] = BOUNDARY_MARGIN
+        D = rng.standard_normal((300, p + 2)) * 10.0 ** rng.integers(-10, 3, (300, p + 2))
+        D[rng.random(D.shape) < 0.1] = 0.0
+        D[rng.random(D.shape) < 0.05] = -0.0
+        D[-2:] = [0.0], [-0.0]  # no tau moves: no cap
+        tau, dtau = Z[:, :p], D[:, :p]  # views, as the search passes them
+        got = solver._tau_step_caps(tau, dtau)
+        assert np.array_equal(got, _tau_step_caps_reference(tau, dtau))
+        assert np.isinf(got).any() and (got < 1.0).any()
+
+
+def _dedup_reference(points):
+    """The deduplication one kept root at a time."""
+    unique = []
+    for z in points:
+        if not any(np.max(np.abs(z - u), initial=0.0)
+                   <= 1e-6 * (1.0 + float(np.linalg.norm(u))) for u in unique):
+            unique.append(z)
+    return unique
+
+
+class TestDedup:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_kept_rows_are_the_one_at_a_time_ones(self, m):
+        """Rows clustered around a few centres, each offset by the
+        tolerance of its centre times a factor within 1e-9 of 1, so the
+        comparisons sit on the tolerance's edge: the kept rows are
+        bitwise those of the reference, in its order."""
+        rng = np.random.default_rng(50 + m)
+        centres = rng.standard_normal((6, m)) * 10.0 ** rng.integers(-2, 3, (6, 1))
+        rows = []
+        for c in centres[rng.integers(6, size=400)]:
+            offset = rng.uniform(-1.0, 1.0, m)
+            offset[rng.integers(m)] = rng.choice([-1.0, 1.0]) * (1.0 + rng.uniform(-1e-9, 1e-9))
+            rows.append(c + offset * 1e-6 * (1.0 + np.linalg.norm(c)))
+        Z = np.array(rows)
+        got = solver._dedup(Z)
+        want = _dedup_reference(Z)
+        assert 6 < len(want) < 200
+        assert got.shape == (len(want), m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
