@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it parses, prints and maps errors to exit codes,
+and leaves the route by shape to :func:`canodual.solve`.
 
 Exit-code contract: 0 on success, 1 on usage/input errors, 2 on method
 limitations (no certified global solution for this instance), so scripts
@@ -16,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import minimax, oracle, quartic, univariate
-from .errors import CanodualError, ShapeMismatchError
+from . import check_existence, oracle, solve
+from .errors import CanodualError
 from .model import (
     Classification,
     ExistenceVerdict,
@@ -27,7 +28,7 @@ from .model import (
     validate,
 )
 from .reproduce import reproduce_example
-from .solver import SolverConfig, find_critical_points, solve_global
+from .solver import SolverConfig, find_critical_points
 
 # oracle-compare searches the box (-ORACLE_BOX, ORACLE_BOX)^n; a grid
 # optimum with a coordinate at least BOX_EDGE in magnitude may be the box's
@@ -76,20 +77,6 @@ def _print_report(report: SolveReport, status: str, as_json: bool):
         print(f"    x = ({x})  tau = ({tau})  sigma = ({sigma})")
 
 
-def _solve(inst: ProblemInstance, cfg: SolverConfig) -> SolveReport:
-    """The report of the univariate fast path whose shape the instance has
-    (p = 0, r = 1: quartic; p = 1, r = 0: smoothed minimax), else
-    ``solve_global``'s. A fast path's result or limit is final; a shape or
-    weight it does not admit goes to ``solve_global``."""
-    for fast_path in (lambda: quartic.solve(quartic.QuarticInstance.from_problem(inst)),
-                      lambda: minimax.solve_smoothed(inst)):
-        try:
-            return fast_path()
-        except ShapeMismatchError:
-            pass  # try the next fast path, then the general solver
-    return solve_global(inst, cfg)
-
-
 def cmd_solve(args) -> int:
     inst, cfg = _load(args.path), _config(args)
     if args.beta is not None:
@@ -101,7 +88,7 @@ def cmd_solve(args) -> int:
                                for p in report.critical_pairs)
             _print_report(report, "CRITICAL_POINTS_FOUND", args.json)
             return 0 if found_global else 2
-        _print_report(_solve(inst, cfg), "GLOBAL_MIN_FOUND", args.json)
+        _print_report(solve(inst, cfg), "GLOBAL_MIN_FOUND", args.json)
         return 0
     except CanodualError as exc:
         if exc.exit_status == 1:
@@ -115,14 +102,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_existence(args) -> int:
-    inst = _load(args.path)
-    # the shape picks the form, so each form's own error is the one shown
-    if (inst.p, inst.r) == (0, 1):
-        qi = quartic.QuarticInstance.from_problem(inst)
-        detail = univariate.existence(qi.spectral(), univariate.quartic(qi.alpha, qi.c))
-    else:
-        can = minimax.canonical_from_problem(inst)
-        detail = univariate.existence(can.spectral(), univariate.entropy(can.d, can.beta))
+    detail = check_existence(_load(args.path))
     print(detail["verdict"].value)
     print(f"lambda_min = {detail['lambda_min']:.9g} "
           f"(multiplicity {detail['multiplicity']})")
@@ -144,7 +124,7 @@ def cmd_oracle_compare(args) -> int:
         raise _InputError(f"--tol must be finite and >= 0, got {args.tol!r}")
     inst, cfg = _load(args.path), _config(args)
     oracle.check_grid_dimension(inst.n)
-    report = _solve(inst, cfg)
+    report = solve(inst, cfg)
     x_star, v_star = oracle.grid_global_min(inst, (-ORACLE_BOX, ORACLE_BOX), resolution=601)
     best = report.best
     dev = abs(best.primal_value - v_star)

@@ -19,7 +19,7 @@ definiteness of G(zeta) decides whether that point is the global minimizer.
 
 Every formula is written once, for a stack of k flat dual vectors
 (tau, sigma) as a (k, m) array. The kernel ``evaluate`` factorizes G with
-one stacked ``eigh`` and gives x = G^{-1} f, the measure rows at x and the
+one stacked ``eigh`` and gives, at x = G^{-1} f, the measure rows and the
 gradient of every row; ``hessians`` reuses that factorization for the m
 back-solves and ``dual_value`` gives the value. ``gradients`` gives the
 gradient alone, with x from one stacked LU solve (``solve_rows``) and no
@@ -106,7 +106,6 @@ class Points(NamedTuple):
     grad: np.ndarray   # (k, m)
     U: np.ndarray      # (k, n, n): eigenvectors of G
     w: np.ndarray      # (k, n): eigenvalues of G
-    x: np.ndarray      # (k, n): x = G^{-1} f
     Mx: np.ndarray     # (k, m, n): rows Q_1 x, ..., B_r x
 
 
@@ -203,7 +202,7 @@ def evaluate(inst: ProblemInstance, Z: np.ndarray) -> Points:
     _, w, U, _, nonsingular, x = _factor(inst, Zin)
     Zv, U, w = _rows_where(nonsingular, Zin, U, w)
     grad, Mx = _gradients(inst, Zv, x)
-    found = Points(np.ones(len(Zv), dtype=bool), grad, U, w, x, Mx)
+    found = Points(np.ones(len(Zv), dtype=bool), grad, U, w, Mx)
     if len(Zv) == k:  # every row valid, the usual case: nothing to spread
         return found
     rows = inside.nonzero()[0][nonsingular]

@@ -207,7 +207,8 @@ def existence_check(sd: SpectralData, d: float, beta: float) -> ExistenceVerdict
     return univariate.existence(sd, univariate.entropy(d, beta))["verdict"]
 
 
-def _solve_canonical(can: CanonicalForm) -> SolveReport:
+def solve_canonical(can: CanonicalForm) -> SolveReport:
+    """:func:`solve` from the canonical form."""
     sd = can.spectral()
     conj = univariate.entropy(can.d, can.beta)
     verdict = existence_check(sd, can.d, can.beta)
@@ -252,13 +253,7 @@ def solve(mm: MinimaxInstance) -> SolveReport:
     objective; subsequent pairs are the other dual critical points with
     their triality labels. A maximiser with no pair is a :class:`HardCaseError`.
     """
-    can = smooth_and_canonicalize(mm)
-    return _solve_canonical(can)
-
-
-def solve_smoothed(inst: ProblemInstance) -> SolveReport:
-    """Univariate fast path for an already-smoothed instance (p=1, r=0)."""
-    return _solve_canonical(canonical_from_problem(inst))
+    return solve_canonical(smooth_and_canonicalize(mm))
 
 
 def beta_sweep(mm: MinimaxInstance, betas: Sequence[float]) -> list[dict]:

@@ -487,7 +487,7 @@ def _newton_roots(inst: ProblemInstance, Z0: np.ndarray, cfg: SolverConfig):
 
     def direction(Z, g, state):
         U, w, Mx = state
-        dz, flat = _directions(inst, Z[:, :p], _dual.Points(None, g, U, w, None, Mx))
+        dz, flat = _directions(inst, Z[:, :p], _dual.Points(None, g, U, w, Mx))
         t0 = np.minimum(1.0, _tau_step_caps(Z[:, :p], dz[:, :p]))
         return dz, t0, flat
 

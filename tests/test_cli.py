@@ -213,10 +213,18 @@ class TestCheckExistence:
         # 1/2 tail^2/gap^2 - V*'(1/2) = 1/2 0.09/1.5^2 - (0 - d)
         assert lines[3].startswith("boundary inequality left-hand side: -0.98 ")
 
-    def test_shape_mismatch(self, ex1_path, capsys):
-        code = main(["check-existence", ex1_path])
-        assert code == 1
-        assert "SHAPE_MISMATCH" in capsys.readouterr().err
+    def test_shape_mismatch(self, ex1_path, tmp_path, capsys):
+        # every shape but the two fast paths' is refused with one message
+        # that names both: ex1 (p = 1, r = 1) and a p = 0, r = 2 file
+        p0r2 = tmp_path / "p0r2.json"
+        p0r2.write_text(serialize_problem(rand_instance(np.random.default_rng(0), 2, 0, 2)))
+        for path, p, r in ((ex1_path, 1, 1), (str(p0r2), 0, 2)):
+            assert main(["check-existence", path]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error [SHAPE_MISMATCH]: no fast path for this shape: p=0, r=1 (quartic) "
+                f"or p=1, r=0 (smoothed minimax) (p={p}, r={r})\n")
+            assert captured.out == ""
 
     def test_an_indefinite_quartic_weight_names_its_own_error(self, tmp_path, capsys):
         # the single-quartic shape goes to the quartic form only, so its
@@ -297,11 +305,11 @@ class TestOracleCompare:
 
     # oracle-compare checks what solve returns: on ex2 and ex3 a fast path
     def test_benchmark2(self, ex2_path, monkeypatch, capsys):
-        monkeypatch.setattr("canodual.cli.solve_global", _no_general_solve)
+        monkeypatch.setattr("canodual.solve_global", _no_general_solve)
         assert main(["oracle-compare", ex2_path]) == 0
 
     def test_benchmark3(self, ex3_path, monkeypatch, capsys):
-        monkeypatch.setattr("canodual.cli.solve_global", _no_general_solve)
+        monkeypatch.setattr("canodual.solve_global", _no_general_solve)
         assert main(["oracle-compare", ex3_path]) == 0
 
     def test_dimension_guard(self, tmp_path, capsys):
@@ -332,7 +340,7 @@ class TestOracleCompare:
         # rejected before the file is read or anything is solved
         def no_solve(*args):
             raise AssertionError("solved with an invalid tolerance")
-        monkeypatch.setattr("canodual.cli.solve_global", no_solve)
+        monkeypatch.setattr("canodual.solve_global", no_solve)
         monkeypatch.setattr("canodual.cli._load", no_solve)
         assert main(["oracle-compare", "missing.json", "--tol", tol]) == 1
         captured = capsys.readouterr()
@@ -385,7 +393,7 @@ def test_each_error_maps_to_its_exit_status(cls, ex1_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise cls("stop")
     monkeypatch.setattr("canodual.cli.reproduce_example", fail)
-    monkeypatch.setattr("canodual.cli.solve_global", fail)
+    monkeypatch.setattr("canodual.solve_global", fail)
     assert main(["reproduce", "1"]) == status
     assert capsys.readouterr().err == f"error [{cls.code}]: stop\n"
     # solve reports a limit of the method as its status, not as an error

@@ -1,7 +1,7 @@
 """The package root exports what a caller needs, and only that: the problem
-types, the four solve entry points with the types they take and return,
-the names the CLI and the scripts use, and the error module. Everything
-else is imported from its module."""
+types, the solve entry points with the types they take and return, the
+names the scripts use, and the error module. Everything else is imported
+from its module."""
 
 import canodual
 
@@ -9,14 +9,13 @@ DOCUMENTED = {
     # problems
     "LseTerm", "ProblemInstance", "QuarticTerm", "parse_problem",
     "serialize_problem", "validate",
-    # the four solve entry points, the types they take and return
-    "MinimaxInstance", "QuarticInstance", "SolverConfig", "find_critical_points",
-    "solve_global", "solve_minimax", "solve_quartic",
+    # the solve entry points, the types they take and return
+    "solve", "check_existence", "MinimaxInstance", "SolverConfig",
+    "find_critical_points", "solve_global", "solve_minimax",
     "Classification", "CriticalPair", "DualPoint", "ExistenceVerdict", "Region",
     "SolveReport",
-    # the CLI and the scripts
+    # the scripts
     "beta_sweep", "grid_global_min", "reproduce_example", "smooth_and_canonicalize",
-    "solve_smoothed",
     "errors",
 }
 
@@ -37,8 +36,14 @@ def test_star_import_gives_the_exports():
 
 
 def test_solve_entry_points_are_the_module_functions():
-    from canodual import minimax, quartic, solver
-    assert canodual.solve_quartic is quartic.solve
+    from canodual import minimax, solver
     assert canodual.solve_minimax is minimax.solve
     assert canodual.solve_global is solver.solve_global
     assert canodual.find_critical_points is solver.find_critical_points
+
+
+def test_the_fast_path_entry_points_left_the_root():
+    # canodual.solve routes a ProblemInstance to them; their forms and
+    # solves stay in canodual.quartic and canodual.minimax
+    for name in ("solve_quartic", "solve_smoothed", "QuarticInstance"):
+        assert not hasattr(canodual, name), name

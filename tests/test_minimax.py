@@ -22,7 +22,7 @@ from canodual.minimax import (
     existence_check,
     smooth_and_canonicalize,
     solve,
-    solve_smoothed,
+    solve_canonical,
     validate_minimax,
 )
 from canodual.model import (
@@ -272,7 +272,7 @@ class TestSolve:
 
     def test_smoothed_fast_path_matches(self):
         can = smooth_and_canonicalize(fixtures.example3())
-        rep = solve_smoothed(can.to_problem())
+        rep = solve_canonical(canonical_from_problem(can.to_problem()))
         assert float(rep.best.zeta.tau[0]) == pytest.approx(
             fixtures.EX3_EXPECTED["tau_global"], abs=1e-5)
         # canonical values (no shift applied by the fast path)
@@ -302,7 +302,7 @@ class TestSolve:
         can = canonical_from_problem(inst)
         assert existence_check(can.spectral(), can.d, can.beta) == ExistenceVerdict.EXISTS
         with pytest.raises(HardCaseError, match="no pair at the dual maximiser") as err:
-            solve_smoothed(inst)
+            solve_canonical(can)
         context = err.value.context
         assert context["lambda_min"] == -0.5
         assert context["min_eig"] == context["lambda_min"] + context["tau"]
@@ -402,7 +402,7 @@ class TestWhitenedProblemPath:
         inst = validate(ProblemInstance(
             A=np.eye(2) * 0.5, f=[0.1, -0.2],
             lse_terms=(LseTerm(Q=Q, d=-0.3),), beta=8.0))
-        rep = solve_smoothed(inst)
+        rep = solve_canonical(canonical_from_problem(inst))
         from canodual.solver import solve_global
         general = solve_global(inst)
         assert rep.best.primal_value == pytest.approx(

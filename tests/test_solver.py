@@ -504,10 +504,12 @@ class TestLockstepRoots:
                     Z = np.array([rand_feasible_zeta(rng, inst).vector() for _ in range(5)])
                     pts = evaluate(inst, Z)
                     H = hessians(inst, Z[:, :p], pts.Mx.transpose(0, 2, 1), pts.U, pts.w)
+                    # x = G^{-1} f from each row's U and w, as dual._factor forms it
+                    x = (pts.U @ ((pts.U.transpose(0, 2, 1) @ inst.f) / pts.w)[..., None])[..., 0]
                     assert pts.valid.all()
                     for i, z in enumerate(Z):
                         zeta = DualPoint.from_vector(z, p)
-                        assert np.array_equal(pts.x[i], assemble(inst, zeta).x_of_f)
+                        assert np.array_equal(x[i], assemble(inst, zeta).x_of_f)
                         assert np.array_equal(pts.grad[i], grad_dual(inst, zeta))
                         assert np.array_equal(H[i], hess_dual(inst, zeta))
 

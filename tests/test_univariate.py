@@ -20,7 +20,7 @@ from canodual.minimax import (
     MinimaxInstance,
     canonical_from_problem,
     smooth_and_canonicalize,
-    solve_smoothed,
+    solve_canonical,
 )
 from canodual.model import (
     DualPoint,
@@ -56,7 +56,7 @@ class TestVerdictBoundaries:
         assert detail["verdict"] == ExistenceVerdict.UNBOUNDED
         assert np.isnan(detail["boundary_lhs"])
         with pytest.raises(UnboundedError):
-            solve_smoothed(inst)
+            solve_canonical(canonical_from_problem(inst))
 
 
 def test_maximiser_hugging_the_entropy_barrier_is_bracketed():
@@ -64,7 +64,7 @@ def test_maximiser_hugging_the_entropy_barrier_is_bracketed():
     # than 1e-13, farther than 1e-14 of the interval's width
     inst = validate(ProblemInstance(A=np.diag([1.0, 2.0]), f=np.zeros(2),
                                     lse_terms=(LseTerm(Q=np.eye(2), d=-30.63),), beta=1.0))
-    tau = float(solve_smoothed(inst).critical_pairs[0].zeta.tau[0])
+    tau = float(solve_canonical(canonical_from_problem(inst)).critical_pairs[0].zeta.tau[0])
     assert tau == pytest.approx(1.0 / (1.0 + np.exp(30.63)), rel=1e-9)
 
 
@@ -77,7 +77,7 @@ def test_maximiser_past_the_right_reach_is_not_bracketed(tmp_path, capsys):
     assert (univariate.existence(can.spectral(), univariate.entropy(can.d, can.beta))["verdict"]
             == ExistenceVerdict.UNCONDITIONAL)
     with pytest.raises(NoDualCriticalPointError, match="bracketing found none") as err:
-        solve_smoothed(inst)
+        solve_canonical(can)
     assert err.value.context["lower"] == 0.0
     # the limit's report carries the verdict it was raised under
     path = tmp_path / "reach.json"
@@ -483,7 +483,7 @@ class TestCholeskyCoordinates:
             value_shift=0.5 * float(offset @ mm.A1 @ offset) - float(mm.f1 @ offset) + mm.d1)
         can = smooth_and_canonicalize(mm)
         self._assert_same_spectral_data(can.spectral(), ref.spectral())
-        got, want = _outcome(minimax.solve, mm), _outcome(minimax._solve_canonical, ref)
+        got, want = _outcome(minimax.solve, mm), _outcome(minimax.solve_canonical, ref)
         assert type(got) is type(want)
         if mode == "interior":
             assert isinstance(got, list) and len(got) >= 1
